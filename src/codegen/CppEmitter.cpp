@@ -1299,15 +1299,15 @@ Expected<std::string> Emitter::run() {
          "  size_t nodeCount() const { return C.nodeCount(); }\n"
          "  /// Nodes frozen by successful rule alternatives in the last\n"
          "  /// parse — comparable to the engine's\n"
-         "  /// InterpStats::NodesCreated (memo hits do not re-freeze on\n"
+         "  /// EngineStats::NodesCreated (memo hits do not re-freeze on\n"
          "  /// either side).\n"
          "  size_t frozenNodeCount() const { return C.frozenNodeCount(); }\n"
          "  /// Memo table traffic of the last parse — comparable to the\n"
-         "  /// engine's InterpStats::MemoHits/MemoMisses.\n"
+         "  /// engine's EngineStats::MemoHits/MemoMisses.\n"
          "  size_t memoHits() const { return C.memoHits(); }\n"
          "  size_t memoMisses() const { return C.memoMisses(); }\n"
          "  /// High-water recursion depth of the last parse — the\n"
-         "  /// generated twin of InterpStats::PeakDepth (direct bodies,\n"
+         "  /// generated twin of EngineStats::PeakDepth (direct bodies,\n"
          "  /// flattened levels, and machine tasks all report through\n"
          "  /// Ctx::notePeak, so the figure matches the interpreter's).\n"
          "  long long peakDepth() const { return C.peakDepth(); }\n"

@@ -8,11 +8,57 @@
 #include "runtime/Engine.h"
 #include "codegen/GenEngine.h"
 #include "runtime/Interp.h"
+#include "runtime/ParseScratch.h"
 #include "vm/BytecodeVM.h"
+
+#include <memory>
+#include <string>
+#include <utility>
 
 using namespace ipg;
 
 Engine::~Engine() = default;
+
+InProcessEngine::InProcessEngine(const Grammar &G,
+                                 const BlackboxRegistry *Blackboxes,
+                                 EngineOptions Opts)
+    : G(G), Opts(Opts), S(std::make_unique<ParseScratch>()) {
+  // One lowering per engine: the shared resolution layer (rule targets,
+  // literals, expression programs, recursion shapes, memo eligibility,
+  // blackbox sites) all execution modes consume. See lower/LIR.h.
+  S->bindGrammar(G, Blackboxes);
+}
+
+InProcessEngine::~InProcessEngine() = default;
+
+Expected<TreePtr> InProcessEngine::parse(ByteSpan Input) {
+  return parse(Input, G.startSymbol());
+}
+
+Expected<TreePtr> InProcessEngine::parse(ByteSpan Input, Symbol StartNT) {
+  // Reset FIRST: stats() must describe this call even when it fails
+  // before doing any work (a stale-stats regression lives in
+  // tests/engine_test.cpp and is asserted by the differential harness).
+  Stats = EngineStats();
+  RuleId Start = StartNT == G.startSymbol()
+                     ? S->Lowered.Start
+                     : S->Lowered.globalRuleOf(StartNT);
+  if (Start == InvalidRuleId) {
+    Stats.FailRule = StartNT;
+    Stats.FailOffset = Input.absBase();
+    return Expected<TreePtr>::failure(
+        "start nonterminal '" +
+        std::string(G.interner().name(StartNT)) + "' has no rule");
+  }
+  // Recycle a store when one is available: either the engine still holds
+  // one (the previous parse failed, so no result escaped) or a dropped
+  // TreePtr parked its store in the recycler. Otherwise — first parse, or
+  // every previous tree is still alive — this parse gets a fresh store.
+  S->beginParse(Stats);
+  return run(Input, Start);
+}
+
+bool InProcessEngine::adoptStore(TreeStore *Store) { return S->adopt(Store); }
 
 const char *ipg::engineKindName(EngineKind K) {
   switch (K) {

@@ -8,11 +8,11 @@
 /// \file
 /// The execution-mode seam. The repo carries more than one proven-
 /// equivalent implementation of the paper's semantics — the interpreter
-/// (runtime/Interp.h) and compiled generated parsers (codegen/GenEngine.h)
-/// — and callers used to bind to one concretely. Engine is the single
+/// (runtime/Interp.h), the bytecode VM (vm/BytecodeVM.h), and compiled
+/// generated parsers (codegen/GenEngine.h). Engine is the single
 /// interface the service layer, the tests, and the benches program
-/// against, so a new execution mode (the ROADMAP's bytecode VM, island
-/// parsing) slots in without touching any caller.
+/// against, so a new execution mode slots in without touching any
+/// caller. The two in-process modes share one shell, InProcessEngine.
 ///
 /// Contract, shared by every implementation:
 ///
@@ -25,7 +25,7 @@
 ///  - stats() describes the most recent parse() call, even one that
 ///    failed before doing any work (counters reset at parse entry).
 ///
-///  - The engine borrows the Grammar (and, for the interpreter, the
+///  - The engine borrows the Grammar (and, for the in-process modes, the
 ///    BlackboxRegistry); the caller keeps both alive for the engine's
 ///    lifetime. Grammars are immutable while engines run, so any number
 ///    of engines on any number of threads may share one Grammar.
@@ -109,6 +109,63 @@ public:
 
 protected:
   Engine() = default;
+};
+
+/// Reusable in-process engine state (runtime/ParseScratch.h), held behind
+/// unique_ptr so the hot-path types stay out of public headers.
+struct ParseScratch;
+
+/// The shell both in-process engines share — the interpreter
+/// (runtime/Interp.h) and the bytecode VM (vm/BytecodeVM.h). It lowers the
+/// grammar once at construction, resolves the start rule, resets stats,
+/// recycles the tree store, and carries the deadline. Each parse then runs
+/// the one parse skeleton (runtime/ParseSkeleton.h) with the subclass's
+/// expression evaluator; that choice is all a subclass supplies.
+class InProcessEngine : public Engine {
+public:
+  ~InProcessEngine() override;
+
+  /// Parses from the grammar's start symbol.
+  Expected<TreePtr> parse(ByteSpan Input) override;
+  /// Parses from an explicit (global) start nonterminal.
+  Expected<TreePtr> parse(ByteSpan Input, Symbol StartNT);
+
+  /// Statistics of the most recent parse() call.
+  const EngineStats &stats() const override { return Stats; }
+
+  const Grammar &grammar() const override { return G; }
+
+  /// Adopts a store coming home from a FrozenTree round trip: re-binds
+  /// it to this engine's recycler and parks it for the next parse().
+  /// Declines (returns false) when a parked store already waits.
+  bool adoptStore(TreeStore *Store) override;
+
+  /// Deadline support (checked at rule entries / flattened levels /
+  /// machine act starts, amortized): a parse past the armed deadline
+  /// aborts with Verdict::Timeout.
+  bool setDeadline(std::chrono::steady_clock::time_point D) override {
+    HasDeadline = true;
+    Deadline = D;
+    return true;
+  }
+  void clearDeadline() override { HasDeadline = false; }
+
+protected:
+  /// Lowers \p G and resolves its blackbox call sites against
+  /// \p Blackboxes (lower/LIR.h).
+  InProcessEngine(const Grammar &G, const BlackboxRegistry *Blackboxes,
+                  EngineOptions Opts);
+
+  /// Runs one parse of rule \p Start once parse() has prepared the
+  /// scratch state: the parse skeleton with this engine's evaluator.
+  virtual Expected<TreePtr> run(ByteSpan Input, RuleId Start) = 0;
+
+  const Grammar &G;
+  EngineOptions Opts;
+  EngineStats Stats;
+  std::unique_ptr<ParseScratch> S;
+  bool HasDeadline = false;
+  std::chrono::steady_clock::time_point Deadline{};
 };
 
 /// The one engine factory. \p Blackboxes is consulted by the in-process

@@ -70,12 +70,12 @@ inline const char *verdictName(Verdict V) {
 
 struct EngineOptions {
   /// Packrat memoization of (rule, absolute interval) results
-  /// (Section 3.3). The interpreter honors it per parse; the code
+  /// (Section 3.3). The in-process engines honor it per parse; the code
   /// generator bakes it into the emitted rule functions.
   bool UseMemo = true;
   /// Treat re-entry of an in-progress (rule, slice) as failure instead of
   /// recursing; off by default for fidelity to the formal semantics.
-  /// Interpreter-only: generated parsers rely on the depth limit.
+  /// In-process engines only: generated parsers rely on the depth limit.
   bool DetectReentry = false;
   /// Hard limit on rule recursion depth. Tripping it aborts the whole
   /// parse (no backtracking into sibling alternatives) in BOTH engines.
@@ -87,7 +87,9 @@ struct EngineOptions {
 
 struct EngineStats {
   size_t NodesCreated = 0;
-  size_t TermsExecuted = 0; ///< interpreter-only; 0 for generated parsers
+  /// Terms executed, counted identically by the interpreter and the VM
+  /// (one parse skeleton); generated parsers report 0.
+  size_t TermsExecuted = 0;
   size_t MemoHits = 0;
   size_t MemoMisses = 0;
   /// Deepest grammar recursion the parse reached, in BOTH engines.

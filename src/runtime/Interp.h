@@ -6,19 +6,27 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The recursive-descent parsing engine implementing the big-step semantics
-/// of Figures 8 and 15: biased choice over alternatives, interval-confined
-/// subparsers, the start/end/EOI special attributes, arrays, predicates,
-/// and the full-language features (switch, local rules, existentials,
-/// blackboxes).
+/// The interpreter: the in-process engine implementing the big-step
+/// semantics of Figures 8 and 15 — biased choice over alternatives,
+/// interval-confined subparsers, the start/end/EOI special attributes,
+/// arrays, predicates, and the full-language features (switch, local
+/// rules, existentials, blackboxes).
+///
+/// It is the one parse skeleton (runtime/ParseSkeleton.h) that it shares
+/// with the bytecode VM, run with the AstEval policy: every expression is
+/// tree-walked from its source AST through expr/Eval.h. That keeps the
+/// interpreter independent of the lowering's expression compiler, so it
+/// stays the oracle the VM's compiled programs are checked against.
+/// Everything else — tiers, memoization, salvage, counters, the contracts
+/// below — is the skeleton's, and so identical in both engines.
 ///
 /// Memoization keys on (rule, absolute slice) as described in Section 3.3,
 /// giving the O(n^2) bound; it can be disabled for ablation. The table is
 /// an open-addressing flat hash over a 128-bit packed key
-/// (support/FlatHash.h re-exporting ipg_rt's implementation, which
-/// generated parsers embed too), not a node-based map. Local
-/// (where-clause) rules are never memoized because their meaning depends
-/// on the enclosing frame, and leaf rules (no subparser-spawning term;
+/// (ipg_rt::FlatIntervalMap in support/GenRuntime.h, which generated
+/// parsers embed too), not a node-based map. Local (where-clause) rules
+/// are never memoized because their meaning depends on the enclosing
+/// frame, and leaf rules (no subparser-spawning term;
 /// ruleSpawnsSubparsers) are skipped because re-matching them is cheaper
 /// than a table probe — both halves of the policy are shared with the
 /// code generator.
@@ -58,69 +66,24 @@
 #include "support/Bytes.h"
 #include "support/Result.h"
 
-#include <chrono>
-#include <cstddef>
-#include <memory>
-
 namespace ipg {
-
-/// The interpreter consumes the engine-wide knob/counter structs
-/// directly (runtime/EngineOptions.h) so its defaults cannot drift from
-/// the generated engine's; the old names remain as aliases.
-using InterpOptions = EngineOptions;
-using InterpStats = EngineStats;
-
-/// Reusable engine internals (tree store, memo table, frame pool; shared
-/// with the bytecode VM — runtime/ParseScratch.h); owned via unique_ptr
-/// so the hot-path types stay out of this header.
-struct ParseScratch;
 
 /// One engine instance per (grammar, options); parse() may be called many
 /// times and results are independent, but the instance recycles its
 /// internal storage across calls — see the memory-discipline notes above.
 /// Not copyable; create one per thread (or through makeEngine /
 /// ParseService, which enforce that).
-class Interp : public Engine {
+class Interp : public InProcessEngine {
 public:
-  explicit Interp(const Grammar &G, const BlackboxRegistry *Blackboxes = nullptr,
-                  InterpOptions Opts = InterpOptions());
+  explicit Interp(const Grammar &G,
+                  const BlackboxRegistry *Blackboxes = nullptr,
+                  EngineOptions Opts = EngineOptions());
   ~Interp() override;
-
-  /// Parses from the grammar's start symbol.
-  Expected<TreePtr> parse(ByteSpan Input) override;
-  /// Parses from an explicit (global) start nonterminal.
-  Expected<TreePtr> parse(ByteSpan Input, Symbol StartNT);
-
-  /// Statistics of the most recent parse() call.
-  const InterpStats &stats() const override { return Stats; }
-
-  const Grammar &grammar() const override { return G; }
 
   EngineKind kind() const override { return EngineKind::Interp; }
 
-  /// Adopts a store coming home from a FrozenTree round trip: re-binds
-  /// it to this engine's recycler and parks it for the next parse().
-  /// Declines (returns false) when a parked store already waits.
-  bool adoptStore(TreeStore *Store) override;
-
-  /// Deadline support (checked at rule entries / flattened levels /
-  /// machine act starts, amortized): a parse past the armed deadline
-  /// aborts with Verdict::Timeout.
-  bool setDeadline(std::chrono::steady_clock::time_point D) override {
-    HasDeadline = true;
-    Deadline = D;
-    return true;
-  }
-  void clearDeadline() override { HasDeadline = false; }
-
 private:
-  const Grammar &G;
-  const BlackboxRegistry *Blackboxes;
-  InterpOptions Opts;
-  InterpStats Stats;
-  std::unique_ptr<ParseScratch> S;
-  bool HasDeadline = false;
-  std::chrono::steady_clock::time_point Deadline{};
+  Expected<TreePtr> run(ByteSpan Input, RuleId Start) override;
 };
 
 } // namespace ipg

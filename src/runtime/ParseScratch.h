@@ -6,21 +6,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The recycled scratch state shared by the two in-process execution modes
-/// — the tree-walking interpreter (runtime/Interp.cpp) and the bytecode VM
-/// (vm/BytecodeVM.cpp). Both engines run the same three-tier execution
-/// strategy (Direct recursion / Flattened descend-replay / Step work-stack
-/// machine) over the same lowered module (lower/LIR.h), so they share one
-/// state layout: per-depth frame pool, memo + reentry tables, flattened
-/// window stack, machine activation records, and the store-recycling
-/// plumbing. Everything here survives across parse() calls so the steady
-/// state allocates nothing: vectors and the flat hashes keep their
-/// capacity through clear(), the TreeStore keeps its arena blocks through
-/// reset(), and frames are pooled per recursion depth.
+/// The recycled scratch state of the in-process parse skeleton
+/// (runtime/ParseSkeleton.h), which both the interpreter and the bytecode
+/// VM run over the same lowered module (lower/LIR.h): per-depth frame
+/// pool, memo + reentry tables, flattened window stack, machine
+/// activation records, the VM evaluator's operand and binding stacks, and
+/// the store-recycling plumbing. Everything here survives across parse()
+/// calls so the steady state allocates nothing: vectors and the flat
+/// hashes keep their capacity through clear(), the TreeStore keeps its
+/// arena blocks through reset(), and frames are pooled per recursion
+/// depth.
 ///
-/// This header is an implementation detail of the two engines; nothing
-/// else should include it (public surfaces expose it only as a forward
-/// declaration behind unique_ptr).
+/// This header is an implementation detail of the in-process engines;
+/// nothing else should include it (public surfaces expose it only as a
+/// forward declaration behind unique_ptr).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,7 +32,6 @@
 #include "runtime/Env.h"
 #include "runtime/ParseTree.h"
 #include "support/Bytes.h"
-#include "support/FlatHash.h"
 #include "support/GenRuntime.h"
 
 #include <cstddef>
@@ -125,8 +123,8 @@ struct ParseScratch {
 
   /// ipg_rt::memoPack'd outcomes — the same encoding the generated Ctx
   /// uses, through the same helpers; ids are stable within a parse.
-  FlatIntervalMap<uint32_t> Memo;
-  FlatIntervalMap<uint8_t> InProgress;
+  ipg_rt::FlatIntervalMap<uint32_t> Memo;
+  ipg_rt::FlatIntervalMap<uint8_t> InProgress;
   std::vector<std::unique_ptr<Frame>> FramePool; // indexed by depth
   std::vector<std::vector<uint32_t>> ElemScratch; // per array-nesting level
   size_t ArrayNest = 0;
@@ -154,7 +152,7 @@ struct ParseScratch {
   };
   std::vector<ByteSpan> FlatLevels;
   std::vector<FlatKid> FlatKids;
-  std::vector<IntervalKey> FlatKeys;
+  std::vector<ipg_rt::IntervalKey> FlatKeys;
 
   /// Step-tier activation record: one per live rule invocation on the
   /// explicit work-stack machine (the machine only ever starts at the
@@ -163,7 +161,7 @@ struct ParseScratch {
     RuleId Id = InvalidRuleId;
     ByteSpan Input;
     const Frame *Lex = nullptr; ///< lexical frame for where-clause rules
-    IntervalKey Key;
+    ipg_rt::IntervalKey Key;
     uint32_t AltIdx = 0;
     uint32_t StepIdx = 0; ///< next position in the alternative's exec order
     enum : uint8_t { WaitNone, WaitNT, WaitArr };
@@ -189,7 +187,7 @@ struct ParseScratch {
   };
   std::vector<MachineAct> Acts;
 
-  /// Bytecode-evaluator scratch (VM only; the interpreter tree-walks):
+  /// Bytecode-evaluator scratch (ProgramEval only; AstEval tree-walks):
   /// the operand stack shared by nested program activations through saved
   /// bases, and the exists-scan binding stack consulted by LoadAttr
   /// innermost-first before the frame's lexical chain.
@@ -243,8 +241,8 @@ struct ParseScratch {
     return ElemScratch[Level];
   }
 
-  /// Shared by Interp/BytecodeVM construction: lower the grammar once and
-  /// resolve every blackbox call site against \p Blackboxes.
+  /// Engine construction: lower the grammar once and resolve every
+  /// blackbox call site against \p Blackboxes.
   void bindGrammar(const Grammar &G, const BlackboxRegistry *Blackboxes) {
     Lowered = lir::lower(G);
     BbFns.reserve(Lowered.BbSites.size());
@@ -252,7 +250,7 @@ struct ParseScratch {
       BbFns.push_back(Blackboxes ? Blackboxes->find(Site.NameStr) : nullptr);
   }
 
-  /// Shared parse-entry reset: recycle or allocate the store and clear
+  /// Parse-entry reset: recycle or allocate the store and clear
   /// every per-parse table (capacity retained). Sets
   /// \p Stats.StoreRecycled.
   void beginParse(EngineStats &Stats) {
@@ -280,7 +278,7 @@ struct ParseScratch {
     Binds.clear();
   }
 
-  /// Shared adoptStore(): park a store coming home from a FrozenTree
+  /// adoptStore(): park a store coming home from a FrozenTree
   /// round trip, declining when a spare already waits.
   bool adopt(TreeStore *Store) {
     if (!Store)

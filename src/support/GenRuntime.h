@@ -31,9 +31,9 @@
 ///
 /// 2. The shared memoization table: IntervalKey packs (rule, interval)
 ///    into 128 bits and FlatIntervalMap is the open-addressing table with
-///    tombstones and O(1) generational clear. The interpreter uses it
-///    through the aliases in support/FlatHash.h; generated parsers embed
-///    it directly (Ctx memoizes every non-local (rule, interval) result,
+///    tombstones and O(1) generational clear. The in-process engines use
+///    it through runtime/ParseScratch.h; generated parsers embed it
+///    directly (Ctx memoizes every non-local (rule, interval) result,
 ///    closing the paper's Fig.-12 gap on backtracking-heavy grammars).
 ///
 /// 3. The embedded runtime of generated parsers: a bump-arena node store
@@ -232,8 +232,8 @@ inline bool readScalar(const unsigned char *Base, long long Size,
 // erase() leaves a tombstone so later probes keep walking; tombstones are
 // reclaimed on rehash. clear() keeps capacity and is O(1) (generational),
 // which is what lets a reused parser reach an allocation-free steady
-// state. The interpreter consumes these types through the aliases in
-// support/FlatHash.h; generated parsers embed them directly.
+// state. The in-process engines hold these types in
+// runtime/ParseScratch.h; generated parsers embed them directly.
 //===----------------------------------------------------------------------===//
 
 /// A (rule, interval) key packed into 128 bits. Equality is exact; the
@@ -769,7 +769,7 @@ public:
   }
 
   /// The recursion-depth guard is a HARD failure, as in the interpreter
-  /// (InterpOptions::MaxDepth): once tripped it aborts the whole parse —
+  /// (EngineOptions::MaxDepth): once tripped it aborts the whole parse —
   /// no backtracking into sibling alternatives. Generated rule functions
   /// check hardFailed() after every failed alternative.
   void hardFail() { Hard = true; }
@@ -797,7 +797,7 @@ public:
   void setDepthLimit(long long Limit) { DepthLim = Limit < 1 ? 1 : Limit; }
 
   /// High-water recursion depth of the current parse — the generated twin
-  /// of InterpStats::PeakDepth. Every tier reports through it: direct
+  /// of EngineStats::PeakDepth. Every tier reports through it: direct
   /// rule functions note their own C-stack depth, flattened loops their
   /// virtual (per-level) depth, and the step machine its task-stack
   /// height, so the figure matches the interpreter's exactly.
@@ -808,12 +808,12 @@ public:
   long long peakDepth() const { return Peak; }
 
   /// Nodes frozen by successful rule alternatives in the current parse —
-  /// the generated twin of InterpStats::NodesCreated (shifted views,
+  /// the generated twin of EngineStats::NodesCreated (shifted views,
   /// arrays, and leaves are not counted on either side).
   size_t frozenNodeCount() const { return Frozen; }
 
   /// Memo table hits/misses of the current parse — the generated twins of
-  /// InterpStats::MemoHits/MemoMisses.
+  /// EngineStats::MemoHits/MemoMisses.
   size_t memoHits() const { return Hits; }
   size_t memoMisses() const { return Misses; }
 
@@ -989,7 +989,7 @@ public:
   /// interpreter's execBlackbox byte for byte: attributes val/start/end
   /// (an empty consumption reads as the untouched span [sub-EOI, 0) in
   /// the parent's coordinates), plus one Leaf child copying any decoded
-  /// output. Counts as a frozen node, as in InterpStats::NodesCreated.
+  /// output. Counts as a frozen node, as in EngineStats::NodesCreated.
   unsigned blackboxNode(unsigned NameId, unsigned ValId,
                         const BlackboxOut &BB, long long Lo, long long Hi) {
     AttrSlot S[3];

@@ -7,23 +7,24 @@
 ///
 /// \file
 /// The third proven-equivalent execution mode: a bytecode VM that runs the
-/// lowered module (lower/LIR.h) directly. It shares the interpreter's
-/// three-tier execution strategy — Direct recursion, Flattened
-/// descend-replay, Step work-stack machine — and the full runtime core
-/// (arena TreeStore, FlatIntervalMap memo, frame pool, store recycler;
-/// runtime/ParseScratch.h), so its trees, counters (nodes, memo traffic,
-/// PeakDepth), hard-error texts, and allocation profile are
-/// byte-identical to the interpreter's (tests/differential_test.cpp locks
-/// all three modes against each other).
+/// lowered module (lower/LIR.h) directly. It is the parse skeleton it
+/// shares with the interpreter (runtime/ParseSkeleton.h) — three-tier
+/// execution (Direct recursion, Flattened descend-replay, Step work-stack
+/// machine), salvage, deadlines, diagnostics, counters, and the runtime
+/// core (arena TreeStore, FlatIntervalMap memo, frame pool, store
+/// recycler; runtime/ParseScratch.h) — run with the ProgramEval policy
+/// (vm/ProgramEval.h). So its trees, counters (nodes, terms, memo traffic,
+/// PeakDepth), hard-error texts, and allocation profile are the
+/// interpreter's by construction; tests/differential_test.cpp still locks
+/// all three modes against each other, and tests/vm_test.cpp compares
+/// every expression evaluation of the two policies in lockstep.
 ///
 /// Where the interpreter tree-walks source expressions through
 /// expr/Eval.h on every evaluation, the VM executes the compiled postfix
 /// programs lir::lower() produced once per grammar: a computed-goto
 /// dispatch loop (switch fallback on non-GNU compilers) over a persistent
 /// operand stack, with short-circuit logic compiled to structured forward
-/// jumps. Term-level dispatch is a plain switch over the eight lir
-/// opcodes — the instruction mix there is dominated by the work inside
-/// each term, not by dispatch itself.
+/// jumps.
 ///
 /// The profiled hot path is not the dispatch loop but how often it is
 /// ENTERED: a parse evaluates tens of thousands of interval-endpoint
@@ -37,8 +38,8 @@
 ///
 /// The memory discipline, depth-free contract (grammar recursion bounded
 /// by EngineOptions::MaxDepth alone, never the C stack), and the
-/// one-engine-per-thread rule are exactly the interpreter's; see
-/// runtime/Interp.h for the long-form contract.
+/// one-engine-per-thread rule are the skeleton's, shared with the
+/// interpreter; see runtime/Interp.h for the long-form contract.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,49 +54,22 @@
 #include "support/Bytes.h"
 #include "support/Result.h"
 
-#include <chrono>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 namespace ipg {
 
-struct ParseScratch; // runtime/ParseScratch.h — shared with the interpreter
-
 /// One engine instance per (grammar, options); same recycling and
 /// threading contract as Interp. Blackboxes resolve against the registry
 /// once at construction (through the lowered module's call-site table).
-class BytecodeVM : public Engine {
+class BytecodeVM : public InProcessEngine {
 public:
   explicit BytecodeVM(const Grammar &G,
                       const BlackboxRegistry *Blackboxes = nullptr,
                       EngineOptions Opts = EngineOptions());
   ~BytecodeVM() override;
 
-  /// Parses from the grammar's start symbol.
-  Expected<TreePtr> parse(ByteSpan Input) override;
-  /// Parses from an explicit (global) start nonterminal.
-  Expected<TreePtr> parse(ByteSpan Input, Symbol StartNT);
-
-  /// Statistics of the most recent parse() call.
-  const EngineStats &stats() const override { return Stats; }
-
-  const Grammar &grammar() const override { return G; }
-
   EngineKind kind() const override { return EngineKind::Vm; }
-
-  /// Adopts a store coming home from a FrozenTree round trip (see
-  /// Interp::adoptStore).
-  bool adoptStore(TreeStore *Store) override;
-
-  /// Deadline support — same recoverable-boundary checks as the
-  /// interpreter's (see Interp::setDeadline).
-  bool setDeadline(std::chrono::steady_clock::time_point D) override {
-    HasDeadline = true;
-    Deadline = D;
-    return true;
-  }
-  void clearDeadline() override { HasDeadline = false; }
 
   /// The closed form of one trivial expression program, decoded once at
   /// engine construction (see the file comment). Every quick form is
@@ -156,15 +130,10 @@ public:
   };
 
 private:
-  const Grammar &G;
-  const BlackboxRegistry *Blackboxes;
-  EngineOptions Opts;
-  EngineStats Stats;
-  std::unique_ptr<ParseScratch> S;
+  Expected<TreePtr> run(ByteSpan Input, RuleId Start) override;
+
   std::vector<QuickExpr> Quick;       ///< indexed by lir::ExprId
   std::vector<DigitTerm> QuickDigits; ///< side table for QuickExpr::Digits
-  bool HasDeadline = false;
-  std::chrono::steady_clock::time_point Deadline{};
 };
 
 } // namespace ipg

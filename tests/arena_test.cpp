@@ -18,7 +18,7 @@
 #include "runtime/Interp.h"
 #include "support/Arena.h"
 #include "support/Casting.h"
-#include "support/FlatHash.h"
+#include "support/GenRuntime.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -31,6 +31,8 @@
 #include <vector>
 
 using namespace ipg;
+using ipg_rt::FlatIntervalMap;
+using ipg_rt::IntervalKey;
 
 //===----------------------------------------------------------------------===//
 // Arena

@@ -16,17 +16,27 @@
 /// bytecode VM itself is differential_test.cpp's job; this file adds
 /// targeted interpreter-vs-VM spot checks on the semantic corners the
 /// expression bytecode compiles specially (short-circuit logic,
-/// conditionals, exists-scans, guarded arithmetic).
+/// conditionals, exists-scans, guarded arithmetic), and runs the parse
+/// skeleton with both evaluator policies in lockstep over every format
+/// corpus and its corrupt-at-offset mutants.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "lower/LIR.h"
 
+#include "CorruptCorpus.h"
 #include "TreeCanonical.h"
 #include "formats/FormatRegistry.h"
 #include "grammar/Grammar.h"
 #include "runtime/Engine.h"
+#include "runtime/ParseScratch.h"
+#include "runtime/ParseSkeleton.h"
+#include "vm/BytecodeVM.h"
+#include "vm/ProgramEval.h"
 
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <gtest/gtest.h>
 #include <set>
 #include <string>
@@ -377,4 +387,152 @@ TEST(VmTest, BtoiReadsAgree) {
   )";
   std::vector<uint8_t> In = {1, 2, 3, 4, 5, 6, 7, 8, 9};
   expectVmAgrees(Src, In);
+}
+
+//===----------------------------------------------------------------------===//
+// The two evaluator policies in lockstep. Both engines run one parse
+// skeleton (runtime/ParseSkeleton.h), so comparing their final trees
+// cannot tell the evaluators apart where backtracking hides a difference.
+// Here the skeleton runs with a policy that asks AstEval (the AST oracle)
+// and ProgramEval (the VM's compiled programs) every question and records
+// any difference in value or partiality at the evaluation itself.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct LockstepLog {
+  size_t Evaluations = 0;
+  size_t Disagreements = 0;
+  std::vector<std::string> First; ///< the first few, for the report
+};
+
+/// Answers with ProgramEval after checking it against AstEval.
+class LockstepEval {
+public:
+  using Frame = ParseScratch::Frame;
+
+  LockstepEval(AstEval Ast, ProgramEval Prog, LockstepLog &Log)
+      : Ast(Ast), Prog(Prog), Log(Log) {}
+
+  bool interval(const Frame &F, const lir::IntervalL &Iv, int64_t &Lo,
+                int64_t &Hi) {
+    int64_t ALo = 0, AHi = 0;
+    bool AOk = Ast.interval(F, Iv, ALo, AHi);
+    bool POk = Prog.interval(F, Iv, Lo, Hi);
+    check("interval", Iv.Lo, F, AOk, POk,
+          AOk && POk && (ALo != Lo || AHi != Hi));
+    return POk;
+  }
+  bool value(const Frame &F, const lir::TermL &T, int64_t &Out) {
+    int64_t A = 0;
+    bool AOk = Ast.value(F, T, A);
+    bool POk = Prog.value(F, T, Out);
+    check("value", T.E0, F, AOk, POk, AOk && POk && A != Out);
+    return POk;
+  }
+  bool bounds(const Frame &F, const lir::TermL &T, int64_t &From,
+              int64_t &To) {
+    int64_t AFrom = 0, ATo = 0;
+    bool AOk = Ast.bounds(F, T, AFrom, ATo);
+    bool POk = Prog.bounds(F, T, From, To);
+    check("bounds", T.E0, F, AOk, POk,
+          AOk && POk && (AFrom != From || ATo != To));
+    return POk;
+  }
+  bool cond(const Frame &F, const lir::ArmL &C, int64_t &Out) {
+    int64_t A = 0;
+    bool AOk = Ast.cond(F, C, A);
+    bool POk = Prog.cond(F, C, Out);
+    check("cond", C.Cond, F, AOk, POk, AOk && POk && A != Out);
+    return POk;
+  }
+
+private:
+  AstEval Ast;
+  ProgramEval Prog;
+  LockstepLog &Log;
+
+  void check(const char *What, lir::ExprId Id, const Frame &F, bool AOk,
+             bool POk, bool ValuesDiffer) {
+    ++Log.Evaluations;
+    if (AOk == POk && !ValuesDiffer)
+      return;
+    ++Log.Disagreements;
+    if (Log.First.size() < 5)
+      Log.First.push_back(std::string(What) + " (program " +
+                          std::to_string(Id) + ") at offset " +
+                          std::to_string(F.Input.absBase()) + ": ast " +
+                          (AOk ? "ok" : "partial") + ", vm " +
+                          (POk ? "ok" : "partial") +
+                          (ValuesDiffer ? ", values differ" : ""));
+  }
+};
+
+/// An in-process engine running the skeleton with LockstepEval.
+class LockstepEngine : public InProcessEngine {
+public:
+  LockstepEngine(const Grammar &G, const BlackboxRegistry *Blackboxes,
+                 EngineOptions Opts)
+      : InProcessEngine(G, Blackboxes, Opts) {
+    ProgramEval::decode(S->Lowered, Quick, Digits);
+  }
+  EngineKind kind() const override { return EngineKind::Vm; }
+
+  LockstepLog Log;
+
+private:
+  std::vector<BytecodeVM::QuickExpr> Quick;
+  std::vector<BytecodeVM::DigitTerm> Digits;
+
+  Expected<TreePtr> run(ByteSpan Input, RuleId Start) override {
+    LockstepEval Ev(AstEval(*S->Cur), ProgramEval(*S, Quick, Digits), Log);
+    return ParseSkeleton<LockstepEval>(G, Opts, Stats, *S, Ev, HasDeadline,
+                                       Deadline)
+        .run(Input, Start);
+  }
+};
+
+} // namespace
+
+TEST(VmTest, EvaluatorsAgreeInLockstepOnEveryCorpusAndMutant) {
+  size_t Parses = 0, Evaluations = 0, Disagreements = 0;
+  for (const formats::FormatInfo &FI : formats::allFormats()) {
+    SCOPED_TRACE("format: " + FI.Name);
+    auto Load = formats::loadFormatGrammar(FI.Name);
+    ASSERT_TRUE(Load) << Load.message();
+    const BlackboxRegistry Blackboxes = formats::standardBlackboxes();
+
+    const std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, 1);
+    std::vector<std::vector<uint8_t>> Inputs = {Bytes};
+    for (const testutil::CorruptProbe &P :
+         testutil::corruptProbes(Bytes.size()))
+      Inputs.push_back(testutil::corruptAt(Bytes, P.Kind, P.Off));
+
+    for (RecoveryPolicy Policy :
+         {RecoveryPolicy::Strict, RecoveryPolicy::Salvage}) {
+      SCOPED_TRACE(Policy == RecoveryPolicy::Strict ? "strict" : "salvage");
+      EngineOptions Opts;
+      Opts.Recovery = Policy;
+      LockstepEngine Lockstep(Load->G, &Blackboxes, Opts);
+      BytecodeVM Vm(Load->G, &Blackboxes, Opts);
+      for (const std::vector<uint8_t> &In : Inputs) {
+        auto RL = Lockstep.parse(ByteSpan::of(In));
+        auto RV = Vm.parse(ByteSpan::of(In));
+        // The lockstep run is the VM's parse, evaluation for evaluation.
+        EXPECT_EQ(static_cast<bool>(RL), static_cast<bool>(RV));
+        EXPECT_EQ(Lockstep.stats().ParseVerdict, Vm.stats().ParseVerdict);
+        EXPECT_EQ(Lockstep.stats().TermsExecuted, Vm.stats().TermsExecuted);
+        ++Parses;
+      }
+      for (const std::string &D : Lockstep.Log.First)
+        ADD_FAILURE() << D;
+      Evaluations += Lockstep.Log.Evaluations;
+      Disagreements += Lockstep.Log.Disagreements;
+    }
+  }
+  EXPECT_EQ(Parses, 2 * 25 * formats::allFormats().size());
+  EXPECT_GT(Evaluations, 0u);
+  EXPECT_EQ(Disagreements, 0u);
+  std::printf("lockstep: %zu parses, %zu evaluations, %zu disagreements\n",
+              Parses, Evaluations, Disagreements);
 }
