@@ -83,6 +83,7 @@ private:
   lir::Module M;
   std::string EvalFns;  ///< emitted eval_N function bodies (exists only)
   std::string RuleFns;  ///< emitted parseRule_N / step_N function bodies
+  std::string GuardTabs; ///< byte-set tables of the alternative guards
   unsigned NextEval = 0;
   unsigned NextTmp = 0;
   /// True while emitting a step_N body: child parses of Step callees
@@ -183,6 +184,12 @@ private:
   void emitFlatPrefixNT(const lir::TermL &TL, bool Replay,
                         const std::string &KidRef, std::string &Body,
                         const char *OnFail);
+  /// The C++ condition "alternative \p AltIdx of rule \p Id may succeed
+  /// over the absolute window [Lo, Hi)": its lir::AltGuard as an
+  /// ipg_rt::guardAdmits call over a file-scope byte-set table. Empty
+  /// when the alternative has no guard.
+  std::string guardCond(RuleId Id, size_t AltIdx, const char *Lo,
+                        const char *Hi);
   void emitRule(RuleId Id);
   void emitFlattenedRule(RuleId Id);
   void emitStepRule(RuleId Id);
@@ -212,13 +219,13 @@ std::string Emitter::emitExpr(const Expr &E, std::string &Body,
     std::string R = emitExpr(*B.rhs(), Body, Fail);
     switch (B.op()) {
     case BinOpKind::Add:
-      Body += "  " + T + " = " + L + " + " + R + ";\n";
+      Body += "  " + T + " = ipg_rt::wrapAdd(" + L + ", " + R + ");\n";
       break;
     case BinOpKind::Sub:
-      Body += "  " + T + " = " + L + " - " + R + ";\n";
+      Body += "  " + T + " = ipg_rt::wrapSub(" + L + ", " + R + ");\n";
       break;
     case BinOpKind::Mul:
-      Body += "  " + T + " = " + L + " * " + R + ";\n";
+      Body += "  " + T + " = ipg_rt::wrapMul(" + L + ", " + R + ");\n";
       break;
     case BinOpKind::Div:
       Body += "  if (!ipg_rt::checkedDiv(" + L + ", " + R + ", " + T +
@@ -409,16 +416,16 @@ std::string Emitter::totalExpr(const Expr &E) {
     return "";
   case Expr::Kind::Binary: {
     const auto &B = *cast<BinaryExpr>(&E);
-    const char *Op = nullptr;
+    const char *Fn = nullptr;
     switch (B.op()) {
     case BinOpKind::Add:
-      Op = " + ";
+      Fn = "ipg_rt::wrapAdd(";
       break;
     case BinOpKind::Sub:
-      Op = " - ";
+      Fn = "ipg_rt::wrapSub(";
       break;
     case BinOpKind::Mul:
-      Op = " * ";
+      Fn = "ipg_rt::wrapMul(";
       break;
     default:
       return ""; // guarded or comparison operators: emit statements
@@ -429,7 +436,7 @@ std::string Emitter::totalExpr(const Expr &E) {
     std::string R = totalExpr(*B.rhs());
     if (R.empty())
       return "";
-    return "(" + L + Op + R + ")";
+    return Fn + L + ", " + R + ")";
   }
   default:
     return "";
@@ -800,6 +807,23 @@ void Emitter::emitTerm(const lir::TermL &TL, std::string &Body,
   }
 }
 
+std::string Emitter::guardCond(RuleId Id, size_t AltIdx, const char *Lo,
+                               const char *Hi) {
+  const lir::AltGuard &G = M.Rules[Id].Alts[AltIdx].Guard;
+  if (!G)
+    return "";
+  std::string Tab =
+      "GuardSet_" + std::to_string(Id) + "_" + std::to_string(AltIdx);
+  GuardTabs += "static const unsigned long long " + Tab + "[4] = {";
+  for (int W = 0; W < 4; ++W)
+    GuardTabs += (W ? ", " : "") + std::to_string(G.Set[W]) + "ull";
+  GuardTabs += "};\n";
+  return "ipg_rt::guardAdmits(C.base() + " + std::string(Lo) + ", " + Hi +
+         " - " + Lo + ", " +
+         (G.Anchor == lir::GuardAnchor::Eoi ? "true" : "false") + ", " +
+         std::to_string(G.Offset) + "u, " + Tab + ")";
+}
+
 void Emitter::emitRule(RuleId Id) {
   const lir::RuleL &RL = M.Rules[Id];
   // Local (where-clause) rules are never memoized (their meaning depends
@@ -839,7 +863,10 @@ void Emitter::emitRule(RuleId Id) {
     // semantics in ipg_rt::updStartEnd), and RefKind::Eoi reads the
     // frame's window size — an attribute the grammar happens to name
     // "EOI" can no longer collide through the lexical lookup.
-    Body += "  { // alternative " + std::to_string(AltIdx) + "\n"
+    // A guarded alternative runs only when its guard admits the window.
+    std::string Guard = guardCond(Id, AltIdx, "AbsLo", "AbsHi");
+    Body += (Guard.empty() ? "  {" : "  if (" + Guard + ") {") +
+            " // alternative " + std::to_string(AltIdx) + "\n"
             "    F.beginAlt(C.base(), AbsLo, AbsHi, " +
             std::string(RL.IsLocal ? "Lex" : "nullptr") + ", " +
             std::to_string(Alt.Exec.size()) + ");\n"
@@ -924,8 +951,9 @@ void Emitter::emitFlattenedRule(RuleId Id) {
     std::string FailLbl = "flat_d_alt" + std::to_string(AltIdx) + "_fail";
     std::string OnFail = "goto " + FailLbl + ";";
     AttrLocals.clear();
-    Body += "  { // alternative " + std::to_string(AltIdx) +
-            " (pre-self)\n"
+    std::string Guard = guardCond(Id, AltIdx, "CurLo", "CurHi");
+    Body += (Guard.empty() ? "  {" : "  if (" + Guard + ") {") +
+            " // alternative " + std::to_string(AltIdx) + " (pre-self)\n"
             "    F.beginAlt(C.base(), CurLo, CurHi, nullptr, " +
             std::to_string(Alt.Exec.size()) + ");\n";
     for (const lir::TermL &T : Alt.Exec)
@@ -945,6 +973,10 @@ void Emitter::emitFlattenedRule(RuleId Id) {
   {
     const char *OnFail = "goto flat_self_prefix_failed;";
     AttrLocals.clear();
+    // A failing guard skips the whole descent below this level.
+    std::string Guard = guardCond(Id, FI.SelfAlt, "CurLo", "CurHi");
+    if (!Guard.empty())
+      Body += "  if (!" + Guard + ") goto flat_self_prefix_failed;\n";
     Body += "  { // self alternative (descend: probe prefix, then recurse "
             "via the level stack)\n"
             "    F.beginAlt(C.base(), CurLo, CurHi, nullptr, " +
@@ -983,8 +1015,9 @@ void Emitter::emitFlattenedRule(RuleId Id) {
     std::string FailLbl = "flat_p_alt" + std::to_string(AltIdx) + "_fail";
     std::string OnFail = "goto " + FailLbl + ";";
     AttrLocals.clear();
-    Body += "  { // alternative " + std::to_string(AltIdx) +
-            " (post-self)\n"
+    std::string Guard = guardCond(Id, AltIdx, "CurLo", "CurHi");
+    Body += (Guard.empty() ? "  {" : "  if (" + Guard + ") {") +
+            " // alternative " + std::to_string(AltIdx) + " (post-self)\n"
             "    F.beginAlt(C.base(), CurLo, CurHi, nullptr, " +
             std::to_string(Alt.Exec.size()) + ");\n";
     for (const lir::TermL &T : Alt.Exec)
@@ -1093,8 +1126,11 @@ void Emitter::emitStepRule(RuleId Id) {
     const lir::AltL &Alt = RL.Alts[AltIdx];
     std::string FailLbl = "step_alt" + std::to_string(AltIdx) + "_fail";
     std::string OnFail = "goto " + FailLbl + ";";
-    Body += "  // alternative " + std::to_string(AltIdx) + "\n"
-            "  F.beginAlt(C.base(), T.AbsLo, T.AbsHi, " +
+    Body += "  // alternative " + std::to_string(AltIdx) + "\n";
+    std::string Guard = guardCond(Id, AltIdx, "T.AbsLo", "T.AbsHi");
+    if (!Guard.empty())
+      Body += "  if (!" + Guard + ") " + OnFail + "\n";
+    Body += "  F.beginAlt(C.base(), T.AbsLo, T.AbsHi, " +
             std::string(RL.IsLocal ? "Lex" : "nullptr") + ", " +
             std::to_string(Alt.Exec.size()) + ");\n";
     for (const lir::TermL &T : Alt.Exec)
@@ -1223,7 +1259,10 @@ Expected<std::string> Emitter::run() {
   Out += "\nnamespace " + NS + " {\n\n";
   Out += "using ipg_rt::Node;\n"
          "using NodePtr = ipg_rt::Node *;\n\n";
-  Out += Table + Decls + "\n" + StepTable + EvalFns + RuleFns;
+  if (!GuardTabs.empty())
+    GuardTabs = "/// Byte sets of the alternative guards (lir::AltGuard).\n" +
+                GuardTabs + "\n";
+  Out += Table + Decls + "\n" + StepTable + GuardTabs + EvalFns + RuleFns;
   Out += "/// A reusable generated parser. The node store (arena + object\n"
          "/// index), the memo table, and the per-depth frame pool are\n"
          "/// recycled across parse() calls, so steady-state parsing\n"

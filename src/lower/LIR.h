@@ -17,6 +17,8 @@
 ///    bytecode VM's dispatch loop;
 ///  - the recursion-shape classification (analysis/RecShape.h) and the
 ///    (rule, interval) memoization eligibility policy, computed once;
+///  - a byte-set guard per alternative (lir::AltGuard) that lets every
+///    engine skip alternatives that provably cannot succeed;
 ///  - a dense name table (start = 0, end = 1 first, matching
 ///    ipg_rt::IdStart/IdEnd) covering every symbol an emitter can
 ///    reference;
@@ -38,8 +40,8 @@
 /// (InvalidRuleId targets, NoExpr intervals) reproduce the engines'
 /// historical "internal:" hard errors at parse time. verify() checks the
 /// invariants tests/vm_test.cpp locks: resolved operands for checked
-/// grammars, interned literals, and jump-target well-formedness of every
-/// expression program.
+/// grammars, interned literals, well-formed alternative guards, and
+/// jump-target well-formedness of every expression program.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -195,12 +197,43 @@ struct TermL {
   const Term *Src = nullptr;     ///< source AST term
 };
 
+/// Where an alternative guard reads its byte: window offset Offset from
+/// the start, or from EOI (the byte at EOI - Offset).
+enum class GuardAnchor : uint8_t { None, Start, Eoi };
+
+/// Largest offset a guard may carry (either anchor).
+inline constexpr uint32_t MaxGuardOffset = 0x7fffffffu;
+
+/// A necessary condition for an alternative to succeed: the byte at the
+/// anchored window position must be in the 256-bit set. Derived once at
+/// lowering (lower/Lower.cpp's deriveGuards) from the first term of Exec
+/// that either matches a non-empty literal or calls a rule with a FIRST
+/// set, at an interval whose Lo is a constant c or EOI - c; every term
+/// before it must be failure-transparent (no blackbox and no unresolved
+/// operand anywhere it can reach). Every engine checks the guard before
+/// running the alternative and skips the alternative when it fails, so
+/// provably dead alternatives cost no terms. Under Salvage a guard is
+/// only applied when some backtrack point is live (otherwise a hole
+/// could rescue the guarded term). ipg_rt::guardAdmits is the check.
+struct AltGuard {
+  GuardAnchor Anchor = GuardAnchor::None;
+  uint32_t Offset = 0;
+  uint32_t Term = 0;            ///< Exec position the guard came from
+  unsigned long long Set[4] = {0, 0, 0, 0};
+
+  explicit operator bool() const { return Anchor != GuardAnchor::None; }
+  bool has(uint8_t B) const { return (Set[B >> 6] >> (B & 63u)) & 1u; }
+  void add(uint8_t B) { Set[B >> 6] |= 1ull << (B & 63u); }
+  bool emptySet() const { return !(Set[0] | Set[1] | Set[2] | Set[3]); }
+};
+
 /// One alternative, already in execution order: Exec[i] is the term the
 /// engines run i-th (the Section-3.2 dependency-DAG order, or source
 /// order when checkAttributes left ExecOrder empty).
 struct AltL {
   const Alternative *Src = nullptr;
   std::vector<TermL> Exec;
+  AltGuard Guard; ///< skip test; Anchor None when nothing is provable
 };
 
 /// One lowered rule.
@@ -274,9 +307,11 @@ struct Module {
 Module lower(const Grammar &G);
 
 /// Structural validation of a lowered module: resolved rule targets and
-/// intervals, literal-table consistency, and jump-target well-formedness
-/// plus stack-balance of every expression program. Returns an empty
-/// string when valid, else a description of the first violation.
+/// intervals, literal-table consistency, well-formed alternative guards
+/// (known anchor, offset in range, non-empty set, term in range), and
+/// jump-target well-formedness plus stack-balance of every expression
+/// program. Returns an empty string when valid, else a description of
+/// the first violation.
 std::string verify(const Module &M);
 
 } // namespace lir

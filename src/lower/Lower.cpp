@@ -10,6 +10,7 @@
 #include "expr/Eval.h"
 #include "support/Casting.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_map>
 #include <utility>
@@ -204,6 +205,7 @@ public:
       markRecoverable(RL);
     }
     M.Start = G.findGlobal(G.startSymbol());
+    deriveGuards();
     return std::move(M);
   }
 
@@ -254,6 +256,176 @@ private:
         break; // data-dependent: never recoverable
       }
     }
+  }
+
+  //===--------------------------------------------------------------------===//
+  // Alternative guards (lir::AltGuard)
+  //===--------------------------------------------------------------------===//
+
+  /// A rule's FIRST set while the fixpoint runs: the bytes that can sit
+  /// at window offset 0 of any successful parse of the rule. Top when
+  /// some alternative proves nothing about offset 0.
+  struct FirstSet {
+    bool Top = false;
+    unsigned long long Set[4] = {0, 0, 0, 0};
+
+    bool operator==(const FirstSet &O) const {
+      return Top == O.Top && std::equal(Set, Set + 4, O.Set);
+    }
+  };
+
+  /// Decodes a guardable Lo endpoint: the constant `c` (Start, c >= 0) or
+  /// `EOI - c` (Eoi, c >= 1). Both endpoints must be compiled.
+  bool constLo(const IntervalL &Iv, GuardAnchor &Anchor,
+               uint32_t &Off) const {
+    if (Iv.Lo == NoExpr || Iv.Hi == NoExpr)
+      return false;
+    const ExprProgram &P = M.Exprs[Iv.Lo];
+    const XInstr *C = M.XCode.data() + P.Begin;
+    const size_t N = P.End - P.Begin;
+    int64_t V = 0;
+    if (N == 1 && C[0].Op == XOp::Num) {
+      Anchor = GuardAnchor::Start;
+      V = C[0].Imm;
+    } else if (N == 3 && C[0].Op == XOp::LoadEoi && C[1].Op == XOp::Num &&
+               C[2].Op == XOp::Sub) {
+      Anchor = GuardAnchor::Eoi;
+      V = C[1].Imm;
+    } else {
+      return false;
+    }
+    // EOI - 0 is never a byte of the window.
+    if (V < (Anchor == GuardAnchor::Eoi) ||
+        V > static_cast<int64_t>(MaxGuardOffset))
+      return false;
+    Off = static_cast<uint32_t>(V);
+    return true;
+  }
+
+  /// Whether running \p T can only succeed or fail softly: no blackbox
+  /// and no unresolved operand, in the term or in any rule it can reach
+  /// (\p Pure). Depth and deadline trips are the only hard errors left,
+  /// and those bound work done, never work a guard skips.
+  bool transparent(const TermL &T, const std::vector<char> &Pure) const {
+    auto Resolved = [](const IntervalL &Iv) {
+      return Iv.Lo != NoExpr && Iv.Hi != NoExpr;
+    };
+    auto PureCallee = [&](RuleId R) {
+      return R != InvalidRuleId && Pure[R];
+    };
+    switch (T.Op) {
+    case TermOp::SetAttr:
+    case TermOp::Check:
+      return T.E0 != NoExpr;
+    case TermOp::MatchBytes:
+    case TermOp::MatchRaw:
+      return Resolved(T.Iv);
+    case TermOp::CallRule:
+      return Resolved(T.Iv) && PureCallee(T.Rule);
+    case TermOp::ForArray:
+      return T.E0 != NoExpr && T.E1 != NoExpr && Resolved(T.Iv) &&
+             PureCallee(T.Rule);
+    case TermOp::Select:
+      for (uint32_t I = T.ArmsBegin; I < T.ArmsEnd; ++I)
+        if (!Resolved(M.Arms[I].Iv) || !PureCallee(M.Arms[I].Rule))
+          return false;
+      return true;
+    case TermOp::CallBlackbox:
+      return false;
+    }
+    return false;
+  }
+
+  /// The guard of \p A under the current FIRST sets: the first term of
+  /// Exec that matches a non-empty literal, or calls a rule with a FIRST
+  /// set, at a constant Lo — provided every term before it is
+  /// transparent. None when no such term exists.
+  AltGuard guardOf(const AltL &A, const std::vector<FirstSet> &First,
+                   const std::vector<char> &Pure) const {
+    AltGuard G;
+    for (uint32_t I = 0; I < A.Exec.size(); ++I) {
+      const TermL &T = A.Exec[I];
+      GuardAnchor Anchor = GuardAnchor::None;
+      uint32_t Off = 0;
+      if (T.Op == TermOp::MatchBytes && !M.Lits[T.Lit].empty() &&
+          constLo(T.Iv, Anchor, Off)) {
+        G.add(static_cast<uint8_t>(M.Lits[T.Lit][0]));
+      } else if (T.Op == TermOp::CallRule && T.Rule != InvalidRuleId &&
+                 !First[T.Rule].Top && constLo(T.Iv, Anchor, Off)) {
+        std::copy(First[T.Rule].Set, First[T.Rule].Set + 4, G.Set);
+      } else if (transparent(T, Pure)) {
+        continue;
+      } else {
+        break;
+      }
+      G.Anchor = Anchor;
+      G.Offset = Off;
+      G.Term = I;
+      return G;
+    }
+    return AltGuard();
+  }
+
+  /// Derives every alternative's guard. A guard is sound when the FIRST
+  /// sets it reads are a fixpoint: by induction on a successful parse,
+  /// the byte at each rule's offset 0 then lies in its FIRST set. The
+  /// fixpoint is the least one, iterated from "every rule has an empty
+  /// FIRST set". Guard placement moves past a callee whose FIRST becomes
+  /// Top, so the iteration is not monotone; if it fails to settle within
+  /// the round cap, every FIRST set becomes Top, leaving only literal
+  /// guards, which need no fixpoint.
+  void deriveGuards() {
+    const size_t N = M.Rules.size();
+    // Pure: the greatest fixpoint of "every term of the rule is
+    // transparent", so recursion among clean rules stays pure.
+    std::vector<char> Pure(N, 1);
+    for (bool Changed = true; Changed;) {
+      Changed = false;
+      for (size_t R = 0; R < N; ++R) {
+        if (!Pure[R])
+          continue;
+        for (const AltL &A : M.Rules[R].Alts)
+          for (const TermL &T : A.Exec)
+            if (Pure[R] && !transparent(T, Pure)) {
+              Pure[R] = 0;
+              Changed = true;
+            }
+      }
+    }
+
+    std::vector<FirstSet> First(N);
+    bool Stable = false;
+    for (size_t Round = 0; !Stable && Round < 4 * N + 16; ++Round) {
+      Stable = true;
+      for (size_t R = 0; R < N; ++R) {
+        FirstSet F;
+        for (const AltL &A : M.Rules[R].Alts) {
+          AltGuard G = guardOf(A, First, Pure);
+          if (G.Anchor != GuardAnchor::Start || G.Offset != 0) {
+            F.Top = true;
+            break;
+          }
+          for (int W = 0; W < 4; ++W)
+            F.Set[W] |= G.Set[W];
+        }
+        if (!(F == First[R])) {
+          First[R] = F;
+          Stable = false;
+        }
+      }
+    }
+    if (!Stable)
+      for (FirstSet &F : First)
+        F.Top = true;
+
+    for (RuleL &R : M.Rules)
+      for (AltL &A : R.Alts) {
+        A.Guard = guardOf(A, First, Pure);
+        // An empty set means the alternative can never succeed; such a
+        // guard is dropped rather than carried (verify rejects it).
+        if (A.Guard.emptySet())
+          A.Guard = AltGuard();
+      }
   }
 
   uint32_t touchName(Symbol S) {
@@ -620,6 +792,22 @@ std::string ipg::lir::verify(const Module &M) {
     return std::string();
   };
 
+  auto checkGuard = [](const AltL &A) -> std::string {
+    const AltGuard &G = A.Guard;
+    if (G.Anchor == GuardAnchor::None)
+      return std::string();
+    if (G.Anchor != GuardAnchor::Start && G.Anchor != GuardAnchor::Eoi)
+      return "guard anchor out of range";
+    if (G.Offset > MaxGuardOffset ||
+        (G.Anchor == GuardAnchor::Eoi && G.Offset == 0))
+      return "guard offset out of range";
+    if (G.emptySet())
+      return "guard byte set is empty";
+    if (G.Term >= A.Exec.size())
+      return "guard term out of range";
+    return std::string();
+  };
+
   if (!M.G)
     return "module has no grammar";
   if (M.NameTable.size() < 2 || M.NameTable[0] != M.G->symStart() ||
@@ -633,6 +821,8 @@ std::string ipg::lir::verify(const Module &M) {
     for (const AltL &A : R.Alts) {
       if (A.Exec.size() != A.Src->Terms.size())
         return where(R) + ": lowered term count diverges from source";
+      if (std::string E = checkGuard(A); !E.empty())
+        return where(R) + ": " + E;
       for (const TermL &T : A.Exec) {
         if (T.TermIdx >= A.Src->Terms.size())
           return where(R) + ": term index out of range";

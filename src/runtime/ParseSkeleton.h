@@ -12,10 +12,11 @@
 /// targets, memo policy, blackbox sites — comes from the lowered module
 /// (lower/LIR.h); state lives in the recycled ParseScratch. The skeleton
 /// owns everything a parse does except evaluating expressions: the
-/// Direct / Flattened / Step execution tiers, arrays, blackboxes, salvage
-/// and its BacktrackLive gate, deadlines, the depth limit, failure
-/// diagnostics and every EngineStats counter. So trees, counters, verdicts
-/// and hard-error texts cannot drift between the two engines.
+/// Direct / Flattened / Step execution tiers, the alternative guards
+/// (lir::AltGuard), arrays, blackboxes, salvage and its BacktrackLive
+/// gate, deadlines, the depth limit, failure diagnostics and every
+/// EngineStats counter. So trees, counters, verdicts and hard-error texts
+/// cannot drift between the two engines.
 ///
 /// Expressions go through an evaluator policy, the template argument. It
 /// answers the four questions a term can ask, each returning false on
@@ -691,6 +692,21 @@ private:
     --Depth;
   }
 
+  /// Whether the guard of \p A (lir::AltGuard) proves the alternative
+  /// cannot succeed over \p In, so it is skipped without running — and
+  /// without counting any term. \p BT: a later alternative is still
+  /// untried. Under Salvage a guard only holds while a backtrack point is
+  /// live; with none, the guarded term's failure could become a hole.
+  [[gnu::always_inline]]
+  bool guardRejects(const lir::AltL &A, ByteSpan In, bool BT) const {
+    const lir::AltGuard &Gd = A.Guard;
+    if (!Gd || (Salvage && BacktrackLive + BT == 0))
+      return false;
+    return !ipg_rt::guardAdmits(In.data(), In.size(),
+                                Gd.Anchor == lir::GuardAnchor::Eoi,
+                                Gd.Offset, Gd.Set);
+  }
+
   /// Runs one alternative's terms from a fresh frame state; true when
   /// every term succeeded. \p BT: a later alternative is still untried,
   /// so the attempt counts toward BacktrackLive.
@@ -737,8 +753,11 @@ private:
       // only once a term touches bytes (first-update updStartEnd) — a
       // byte-untouched node exposes neither, and reading its X.start
       // fails with partiality, exactly as in the generated parsers.
+      const bool BT = AI + 1 < AE;
+      if (guardRejects(R.Alts[AI], Input, BT))
+        continue;
       bool Ok = runAlt(F, R.Alts[AI], Input, R.IsLocal ? Lexical : nullptr,
-                       R.Name, /*BT=*/AI + 1 < AE);
+                       R.Name, BT);
       if (Hard)
         break;
       if (Ok) {
@@ -827,6 +846,8 @@ private:
     // level on the way down (recursion tries them first per activation);
     // the self alternative is still untried, so each counts as BT.
     for (size_t AI = 0; AI < FI.SelfAlt; ++AI) {
+      if (guardRejects(R.Alts[AI], Cur, /*BT=*/true))
+        continue;
       bool Ok = runAlt(F, R.Alts[AI], Cur, nullptr, R.Name, /*BT=*/true);
       if (Hard)
         goto flat_hard;
@@ -837,7 +858,11 @@ private:
     }
 
     // The self alternative's prefix (descend phase), then push the level
-    // and descend into the self interval.
+    // and descend into the self interval. A failing guard skips the whole
+    // descent below this level (its byte sits anywhere in the self
+    // alternative: XNum's is the digit AFTER the self call).
+    if (guardRejects(SAlt, Cur, HasPost))
+      goto flat_post_alts;
     {
       F.beginAlt(Cur, nullptr, SAlt.Exec.size());
       // This level enters its self alternative: it contributes to
@@ -901,8 +926,10 @@ private:
     St.FlatKids.resize(KidBase +
                        (St.FlatLevels.size() - LvBase) * PN);
     for (size_t AI = FI.SelfAlt + 1; AI < R.Alts.size(); ++AI) {
-      bool Ok = runAlt(F, R.Alts[AI], Cur, nullptr, R.Name,
-                       /*BT=*/AI + 1 < R.Alts.size());
+      const bool BT = AI + 1 < R.Alts.size();
+      if (guardRejects(R.Alts[AI], Cur, BT))
+        continue;
+      bool Ok = runAlt(F, R.Alts[AI], Cur, nullptr, R.Name, BT);
       if (Hard)
         goto flat_hard;
       if (Ok) {
@@ -1247,12 +1274,17 @@ private:
         return;
       }
       const lir::AltL &Alt = R.Alts[A.AltIdx];
-      if (!AltFailed) {
-        if (A.NeedBegin) {
+      if (!AltFailed && A.NeedBegin) {
+        // BacktrackLive already holds this act's share for AltIdx.
+        if (guardRejects(Alt, A.Input, /*BT=*/false)) {
+          AltFailed = true;
+        } else {
           F.beginAlt(A.Input, R.IsLocal ? A.Lex : nullptr,
                      Alt.Exec.size());
           A.NeedBegin = false;
         }
+      }
+      if (!AltFailed) {
         while (A.StepIdx < Alt.Exec.size()) {
           int TR = execTermMachine(I, F, Alt.Exec[A.StepIdx]);
           if (TR == 2)

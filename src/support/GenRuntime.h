@@ -115,6 +115,43 @@ inline void childSpan(bool HasStart, long long StartV, bool HasEnd,
   BEnd = HasEnd ? EndV : 0;
 }
 
+/// Two's-complement wrapping +, -, *: the expression language's
+/// arithmetic is total, so overflow wraps instead of being UB. Computed
+/// in unsigned arithmetic and converted back (modular since C++20, and
+/// what every supported compiler does before that).
+inline long long wrapAdd(long long L, long long R) {
+  return static_cast<long long>(static_cast<unsigned long long>(L) +
+                                static_cast<unsigned long long>(R));
+}
+
+inline long long wrapSub(long long L, long long R) {
+  return static_cast<long long>(static_cast<unsigned long long>(L) -
+                                static_cast<unsigned long long>(R));
+}
+
+inline long long wrapMul(long long L, long long R) {
+  return static_cast<long long>(static_cast<unsigned long long>(L) *
+                                static_cast<unsigned long long>(R));
+}
+
+/// The alternative guard check (lower/LIR.h's lir::AltGuard): the byte at
+/// position \p Off of the window [Data, Data + Size) — or at Size - Off
+/// when \p FromEoi — must be in the 256-bit set \p Set. A position outside
+/// the window fails the guard: the guarded term could not match there.
+inline bool guardAdmits(const unsigned char *Data, size_t Size, bool FromEoi,
+                        size_t Off, const unsigned long long *Set) {
+  size_t P = Off;
+  if (FromEoi) {
+    if (Off > Size)
+      return false;
+    P = Size - Off;
+  }
+  if (P >= Size)
+    return false;
+  const unsigned B = Data[P];
+  return (Set[B >> 6] >> (B & 63u)) & 1u;
+}
+
 /// Division/modulo fail (partiality, not UB) on zero divisors and on the
 /// one overflowing quotient.
 inline bool checkedDiv(long long L, long long R, long long &Out) {

@@ -368,36 +368,37 @@ ProgramEval::evalQuickRest(const Frame &F, const QE &Q, lir::ExprId Id,
   case QE::Attr:
     if (!loadAttr(F, Q.Sym, Out))
       return false;
-    Out += Q.Imm;
+    Out = ipg_rt::wrapAdd(Out, Q.Imm);
     return true;
   case QE::NtAttr:
     if (!loadNtAttr(F, Q.Sym, Q.A, Out))
       return false;
-    Out += Q.Imm;
+    Out = ipg_rt::wrapAdd(Out, Q.Imm);
     return true;
   case QE::TermEnd:
     if (!F.termEnd(Q.A, Out))
       return false;
-    Out += Q.Imm;
+    Out = ipg_rt::wrapAdd(Out, Q.Imm);
     return true;
   case QE::TermEndAttr: {
     int64_t B = 0, At = 0;
     if (!F.termEnd(Q.A, B) || !loadAttr(F, Q.Sym, At))
       return false;
-    Out = B + At;
+    Out = ipg_rt::wrapAdd(B, At);
     return true;
   }
   case QE::AttrMulImm:
     if (!loadAttr(F, Q.Sym, Out))
       return false;
-    Out = Q.Imm * (Out + Q.Imm2);
+    Out = ipg_rt::wrapMul(Q.Imm, ipg_rt::wrapAdd(Out, Q.Imm2));
     return true;
   case QE::NtAffine: {
     int64_t Base = 0, Idx = 0, Stride = 0;
     if (!loadNtAttr(F, Q.Sym, Q.A, Base) || !loadAttr(F, Q.Sym3, Idx) ||
         !loadNtAttr(F, Q.Sym2, Q.Attr2, Stride))
       return false;
-    Out = Base + (Idx + Q.Imm) * Stride;
+    Out = ipg_rt::wrapAdd(
+        Base, ipg_rt::wrapMul(ipg_rt::wrapAdd(Idx, Q.Imm), Stride));
     return true;
   }
   case QE::AttrAffinePair: {
@@ -515,7 +516,7 @@ ProgramEval::evalQuickRest(const Frame &F, const QE &Q, lir::ExprId Id,
     int64_t Off = 0;
     if (!loadAttr(F, Q.Sym, Off))
       return false;
-    return readFixedQuick(F, Q.A, Off + Q.Imm, Out);
+    return readFixedQuick(F, Q.A, ipg_rt::wrapAdd(Off, Q.Imm), Out);
   }
   case QE::General:
     break;
@@ -608,17 +609,17 @@ vm_top:
 
   IPG_VM_CASE(Add)
   T1 = *--SP;
-  SP[-1] += T1;
+  SP[-1] = ipg_rt::wrapAdd(SP[-1], T1);
   IPG_VM_NEXT();
 
   IPG_VM_CASE(Sub)
   T1 = *--SP;
-  SP[-1] -= T1;
+  SP[-1] = ipg_rt::wrapSub(SP[-1], T1);
   IPG_VM_NEXT();
 
   IPG_VM_CASE(Mul)
   T1 = *--SP;
-  SP[-1] *= T1;
+  SP[-1] = ipg_rt::wrapMul(SP[-1], T1);
   IPG_VM_NEXT();
 
   IPG_VM_CASE(Div)

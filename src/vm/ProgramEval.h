@@ -95,13 +95,13 @@ private:
       return true;
     }
     if (Q.K == QE::Eoi) {
-      Out = static_cast<int64_t>(F.Input.size()) + Q.Imm;
+      Out = ipg_rt::wrapAdd(static_cast<int64_t>(F.Input.size()), Q.Imm);
       return true;
     }
     if (Q.K == QE::TermEnd) {
       if (!F.termEnd(Q.A, Out))
         return false;
-      Out += Q.Imm;
+      Out = ipg_rt::wrapAdd(Out, Q.Imm);
       return true;
     }
     // Attribute found in the executing frame with no exists-scan binding
@@ -109,7 +109,7 @@ private:
     // through to the full binds-then-lexical-chain lookup.
     if (Q.K == QE::Attr && St.Binds.empty()) {
       if (auto V = F.E.get(Q.Sym)) {
-        Out = *V + Q.Imm;
+        Out = ipg_rt::wrapAdd(*V, Q.Imm);
         return true;
       }
     }

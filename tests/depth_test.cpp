@@ -282,6 +282,94 @@ TEST(DepthTest, GeneratedEngineMatchesInterpreterAtDepth) {
 }
 
 //===----------------------------------------------------------------------===//
+// MaxDepth bounds work actually done. An alternative whose byte guard
+// (lir::AltGuard) fails is skipped in every engine, so a dead descent
+// that used to trip a tight depth limit now never starts: the parse
+// finishes, with the same verdict, tree and counters in all three.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// pdf's XNum shape (Flattened): the self call runs first, the digit
+/// that guards it sits after it at EOI - 1.
+const char *DeadFlattenedDescentGrammar = R"(
+  S -> N[0, EOI] / raw[0, EOI] ;
+  N -> N[0, EOI - 1] D[EOI - 1, EOI] / D[EOI - 1, EOI] ;
+  D -> "0"[0, 1] / "1"[0, 1] ;
+)";
+
+/// Mutual recursion (Step): P's first alternative can only succeed with
+/// an 'a' at EOI - 1, its second with a 'b' there. (Both read EOI - 1,
+/// so P has no FIRST set and S's first alternative stays unguarded.)
+const char *DeadMachineDescentGrammar = R"(
+  S -> P[0, EOI] / raw[0, EOI] ;
+  P -> Q[0, EOI - 1] "a"[EOI - 1, EOI] / "b"[EOI - 1, EOI] ;
+  Q -> P[0, EOI] ;
+)";
+
+} // namespace
+
+TEST(DepthTest, DeadAlternativesNoLongerTripMaxDepth) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+
+  struct Case {
+    const char *Tag;
+    const char *Src;
+    const char *Tail;
+    size_t WantPeak;
+  };
+  // Each input is 300 'x' bytes and a tail; unguarded, both grammars
+  // descend once per byte before failing back to S's raw alternative.
+  const Case Cases[] = {
+      {"flattened", DeadFlattenedDescentGrammar, "1", 3},
+      {"machine", DeadMachineDescentGrammar, "a", 4},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Tag);
+    Grammar G = load(C.Src);
+    std::vector<uint8_t> In = runOf('x', 300);
+    In.insert(In.end(), C.Tail, C.Tail + std::string(C.Tail).size());
+    EngineOptions Opts;
+    Opts.MaxDepth = 64;
+
+    auto IE = makeEngine(EngineKind::Interp, G, nullptr, Opts);
+    ASSERT_TRUE(IE) << IE.message();
+    auto VE = makeEngine(EngineKind::Vm, G, nullptr, Opts);
+    ASSERT_TRUE(VE) << VE.message();
+    auto GE = makeEngine(EngineKind::Generated, G, nullptr, Opts);
+    ASSERT_TRUE(GE) << GE.message();
+
+    auto TI = (*IE)->parse(ByteSpan::of(In));
+    ASSERT_TRUE(TI) << TI.message();
+    auto TV = (*VE)->parse(ByteSpan::of(In));
+    ASSERT_TRUE(TV) << TV.message();
+    auto TG = (*GE)->parse(ByteSpan::of(In));
+    ASSERT_TRUE(TG) << TG.message();
+
+    EXPECT_EQ(testutil::renderCanonical(*TI, G),
+              testutil::renderCanonical(*TV, G));
+    EXPECT_TRUE(testutil::treesEqual(TI->get(), G, TG->get(), G));
+    const EngineStats &SI = (*IE)->stats();
+    const EngineStats &SV = (*VE)->stats();
+    const EngineStats &SG = (*GE)->stats();
+    EXPECT_EQ(SI.ParseVerdict, Verdict::Accept);
+    EXPECT_EQ(SV.ParseVerdict, Verdict::Accept);
+    EXPECT_EQ(SG.ParseVerdict, Verdict::Accept);
+    EXPECT_EQ(SI.PeakDepth, C.WantPeak);
+    EXPECT_EQ(SI.PeakDepth, SV.PeakDepth);
+    EXPECT_EQ(SI.PeakDepth, SG.PeakDepth);
+    EXPECT_EQ(SI.TermsExecuted, SV.TermsExecuted);
+    EXPECT_EQ(SI.NodesCreated, SV.NodesCreated);
+    EXPECT_EQ(SI.NodesCreated, SG.NodesCreated);
+    EXPECT_EQ(SI.MemoHits, SV.MemoHits);
+    EXPECT_EQ(SI.MemoHits, SG.MemoHits);
+    EXPECT_EQ(SI.MemoMisses, SV.MemoMisses);
+    EXPECT_EQ(SI.MemoMisses, SG.MemoMisses);
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // PeakDepth parity on a real format corpus (interp vs generated): the
 // satellite bugfix for stats().PeakDepth == 0 on generated engines.
 //===----------------------------------------------------------------------===//

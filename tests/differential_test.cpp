@@ -39,6 +39,7 @@
 #include "CorruptCorpus.h"
 #include "TreeCanonical.h"
 #include "formats/FormatRegistry.h"
+#include "formats/Pdf.h"
 #include "formats/Zip.h"
 #include "runtime/Interp.h"
 #include "support/Casting.h"
@@ -202,9 +203,10 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
     bool InterpAccepts = static_cast<bool>(I.parse(ByteSpan::of(Bad)));
     // The stats contract holds inside the harness too: after a rejected
     // parse, stats() describes the rejection, not the accepted run.
-    if (!InterpAccepts)
+    if (!InterpAccepts) {
       EXPECT_LT(I.stats().NodesCreated, AcceptedNodes)
           << FI.Name << ": stats() still shows the previous parse";
+    }
     GenRun GenBad = runGenerated(Exe, FI.Name, Bad);
     ASSERT_GE(GenBad.ExitCode, 0);
     ASSERT_LE(GenBad.ExitCode, 1);
@@ -246,6 +248,11 @@ TEST(DifferentialTest, CorruptAtOffsetSweepVerdictsAgree) {
                                  formats::genBlackboxBridge(FI.Name)));
 
     Engine &I = **FE;
+    // The same parser in-process, for its counters: alternative guards
+    // must skip the same alternatives in both engines, so memo traffic,
+    // node counts and depth agree on every mutant too.
+    auto GE = formats::makeFormatEngine(FI.Name, EngineKind::Generated);
+    ASSERT_TRUE(GE) << GE.message();
     const std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, 1);
     ASSERT_GE(Bytes.size(), ProbesPerFormat);
 
@@ -264,6 +271,22 @@ TEST(DifferentialTest, CorruptAtOffsetSweepVerdictsAgree) {
         EXPECT_EQ(renderCanonical(*R, G), Gen.Dump)
             << "both accepted the corruption but built different trees";
       }
+
+      auto RG = (*GE)->parse(ByteSpan::of(Bad));
+      EXPECT_EQ(static_cast<bool>(R), static_cast<bool>(RG));
+      const EngineStats &SI = I.stats();
+      const EngineStats &SG = (*GE)->stats();
+      EXPECT_EQ(SI.ParseVerdict, SG.ParseVerdict);
+      EXPECT_EQ(SI.NodesCreated, SG.NodesCreated);
+      EXPECT_EQ(SI.MemoHits, SG.MemoHits);
+      EXPECT_EQ(SI.MemoMisses, SG.MemoMisses);
+      EXPECT_EQ(SI.PeakDepth, SG.PeakDepth);
+      ASSERT_EQ(SI.FailRule == ~0u, SG.FailRule == ~0u);
+      if (SI.FailRule != ~0u) {
+        EXPECT_EQ(G.interner().name(SI.FailRule),
+                  GE->Load->G.interner().name(SG.FailRule));
+      }
+      EXPECT_EQ(SI.FailOffset, SG.FailOffset);
       ++Checked;
     }
   }
@@ -324,10 +347,11 @@ TEST(DifferentialTest, VmMatchesInterpreterOnCorruptAtOffsetSweep) {
       EXPECT_EQ(SI.PeakDepth, SV.PeakDepth);
       ASSERT_EQ(SI.FailRule == ~0u, SV.FailRule == ~0u)
           << "only one engine recorded a failure location";
-      if (SI.FailRule != ~0u)
+      if (SI.FailRule != ~0u) {
         EXPECT_EQ(IE->Load->G.interner().name(SI.FailRule),
                   VE->Load->G.interner().name(SV.FailRule))
             << "failing-rule diagnostics diverge";
+      }
       EXPECT_EQ(SI.FailOffset, SV.FailOffset)
           << "failure-offset diagnostics diverge";
       ++Checked;
@@ -435,22 +459,40 @@ TEST(DifferentialTest, MemoizedAndUnmemoizedGeneratedParsersAgree) {
 }
 
 //===----------------------------------------------------------------------===//
-// Megabyte-class corpus: PDF (whose Scan/XNum recursion makes file size
-// equal parse depth — over a million virtual levels here) and ELF (a
-// megabyte image with thousands of table entries) must agree between the
-// interpreter and the in-process generated engine. Both engines run
-// recursion on engine-managed frames, so the only requirement is a
-// MaxDepth that covers the input. Trees are compared structurally:
-// canonical text dumps indent two spaces per level, which is O(depth^2)
-// output at this depth.
+// Megabyte-class corpus: PDF and ELF (a megabyte image with thousands of
+// table entries) at scale 64, plus a one-object PDF whose object body is
+// over a megabyte, so Scan's "literal, else advance one byte" recursion
+// is a live recursion past a million virtual levels. (The scale-64 PDF's
+// depth used to come from XNum's dead whole-file descent, which the
+// alternative guards now cut off at the first non-digit byte.) All three
+// engines must agree; they run recursion on engine-managed frames, so
+// the only requirement is a MaxDepth that covers the input. Trees are
+// compared structurally: canonical text dumps indent two spaces per
+// level, which is O(depth^2) output at this depth.
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, MegabyteCorpusAgreeInProcess) {
   if (!hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
-  for (const char *Name : {"pdf", "elf"}) {
-    SCOPED_TRACE(Name);
+  formats::PdfSynthSpec BigObject;
+  BigObject.NumObjects = 1;
+  BigObject.ObjectBodySize = (size_t{1} << 20) + 4096;
+  struct Case {
+    const char *Tag;
+    const char *Format;
+    std::vector<uint8_t> Bytes;
+    size_t MinPeakDepth;
+  };
+  const Case Cases[] = {
+      {"pdf scale 64", "pdf", formats::sampleInput("pdf", 64), 1},
+      {"elf scale 64", "elf", formats::sampleInput("elf", 64), 1},
+      {"pdf megabyte object", "pdf", formats::synthesizePdf(BigObject),
+       (size_t{1} << 20) + 1},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Tag);
+    const char *Name = C.Format;
     EngineOptions Opts;
     Opts.MaxDepth = size_t{1} << 21;
     auto IE = formats::makeFormatEngine(Name, EngineKind::Interp, Opts);
@@ -460,42 +502,40 @@ TEST(DifferentialTest, MegabyteCorpusAgreeInProcess) {
     auto VE = formats::makeFormatEngine(Name, EngineKind::Vm, Opts);
     ASSERT_TRUE(VE) << VE.message();
 
-    std::vector<uint8_t> Bytes = formats::sampleInput(Name, 64);
+    const std::vector<uint8_t> &Bytes = C.Bytes;
     ASSERT_GE(Bytes.size(), size_t{1} << 20)
-        << Name << ": scale-64 corpus is not megabyte-class";
+        << C.Tag << ": corpus is not megabyte-class";
 
     auto TI = (*IE)->parse(ByteSpan::of(Bytes));
-    ASSERT_TRUE(TI) << Name << " interp: " << TI.message();
+    ASSERT_TRUE(TI) << C.Tag << " interp: " << TI.message();
     auto TG = (*GE)->parse(ByteSpan::of(Bytes));
-    ASSERT_TRUE(TG) << Name << " generated: " << TG.message();
+    ASSERT_TRUE(TG) << C.Tag << " generated: " << TG.message();
     auto TV = (*VE)->parse(ByteSpan::of(Bytes));
-    ASSERT_TRUE(TV) << Name << " vm: " << TV.message();
+    ASSERT_TRUE(TV) << C.Tag << " vm: " << TV.message();
 
     EXPECT_TRUE(testutil::treesEqual(TI->get(), IE->Load->G, TG->get(),
                                      GE->Load->G))
-        << Name << ": interpreter and generated trees diverge at scale 64";
+        << C.Tag << ": interpreter and generated trees diverge";
     EXPECT_TRUE(testutil::treesEqual(TI->get(), IE->Load->G, TV->get(),
                                      VE->Load->G))
-        << Name << ": interpreter and VM trees diverge at scale 64";
+        << C.Tag << ": interpreter and VM trees diverge";
 
     // Counter parity at depth: all engines report the same recursion
-    // profile, PeakDepth included (the satellite-2 ABI plumbing).
+    // profile, PeakDepth included.
     const EngineStats &SI = (*IE)->stats();
     const EngineStats &SG = (*GE)->stats();
     const EngineStats &SV = (*VE)->stats();
-    EXPECT_EQ(SI.NodesCreated, SG.NodesCreated) << Name;
-    EXPECT_EQ(SI.MemoHits, SG.MemoHits) << Name;
-    EXPECT_EQ(SI.MemoMisses, SG.MemoMisses) << Name;
-    EXPECT_EQ(SI.PeakDepth, SG.PeakDepth) << Name;
-    EXPECT_EQ(SI.NodesCreated, SV.NodesCreated) << Name;
-    EXPECT_EQ(SI.TermsExecuted, SV.TermsExecuted) << Name;
-    EXPECT_EQ(SI.MemoHits, SV.MemoHits) << Name;
-    EXPECT_EQ(SI.MemoMisses, SV.MemoMisses) << Name;
-    EXPECT_EQ(SI.PeakDepth, SV.PeakDepth) << Name;
-    EXPECT_GT(SI.PeakDepth, 0u) << Name;
-    if (std::string(Name) == "pdf")
-      EXPECT_GT(SI.PeakDepth, size_t{1} << 20)
-          << "the megabyte PDF should recurse past a million levels";
+    EXPECT_EQ(SI.NodesCreated, SG.NodesCreated) << C.Tag;
+    EXPECT_EQ(SI.MemoHits, SG.MemoHits) << C.Tag;
+    EXPECT_EQ(SI.MemoMisses, SG.MemoMisses) << C.Tag;
+    EXPECT_EQ(SI.PeakDepth, SG.PeakDepth) << C.Tag;
+    EXPECT_EQ(SI.NodesCreated, SV.NodesCreated) << C.Tag;
+    EXPECT_EQ(SI.TermsExecuted, SV.TermsExecuted) << C.Tag;
+    EXPECT_EQ(SI.MemoHits, SV.MemoHits) << C.Tag;
+    EXPECT_EQ(SI.MemoMisses, SV.MemoMisses) << C.Tag;
+    EXPECT_EQ(SI.PeakDepth, SV.PeakDepth) << C.Tag;
+    EXPECT_GE(SI.PeakDepth, C.MinPeakDepth)
+        << C.Tag << ": recursion shallower than the corpus demands";
   }
 }
 

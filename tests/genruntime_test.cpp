@@ -49,6 +49,37 @@ unsigned freezeNode(Ctx &C, long long Start, long long End, long long X) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
+// Scalar semantics: wrapping arithmetic and the alternative guard check
+//===----------------------------------------------------------------------===//
+
+TEST(GenRuntimeScalar, ArithmeticWrapsInsteadOfOverflowing) {
+  const long long Max = 9223372036854775807LL;
+  const long long Min = -Max - 1;
+  EXPECT_EQ(ipg_rt::wrapAdd(Max, 1), Min);
+  EXPECT_EQ(ipg_rt::wrapSub(Min, 1), Max);
+  EXPECT_EQ(ipg_rt::wrapMul(1LL << 62, 4), 0);
+  EXPECT_EQ(ipg_rt::wrapMul(1LL << 62, 2), Min);
+  EXPECT_EQ(ipg_rt::wrapAdd(-3, 5), 2);
+  EXPECT_EQ(ipg_rt::wrapMul(-3, 5), -15);
+}
+
+TEST(GenRuntimeScalar, GuardAdmitsOnlyInWindowBytesOfTheSet) {
+  const unsigned char In[] = {'a', '7', 'z'};
+  unsigned long long Digits[4] = {0, 0, 0, 0};
+  for (unsigned B = '0'; B <= '9'; ++B)
+    Digits[B >> 6] |= 1ull << (B & 63);
+  EXPECT_TRUE(ipg_rt::guardAdmits(In, 3, false, 1, Digits));
+  EXPECT_FALSE(ipg_rt::guardAdmits(In, 3, false, 0, Digits));
+  EXPECT_TRUE(ipg_rt::guardAdmits(In, 3, true, 2, Digits));  // EOI - 2
+  EXPECT_FALSE(ipg_rt::guardAdmits(In, 3, true, 1, Digits)); // 'z'
+  // Positions outside the window never admit.
+  EXPECT_FALSE(ipg_rt::guardAdmits(In, 3, false, 3, Digits));
+  EXPECT_FALSE(ipg_rt::guardAdmits(In, 3, true, 4, Digits));
+  EXPECT_FALSE(ipg_rt::guardAdmits(In, 0, false, 0, Digits));
+  EXPECT_FALSE(ipg_rt::guardAdmits(In, 3, true, 0, Digits));
+}
+
+//===----------------------------------------------------------------------===//
 // FlatIntervalMap (the embedded twin of the interpreter's memo table)
 //===----------------------------------------------------------------------===//
 

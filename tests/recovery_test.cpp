@@ -32,10 +32,12 @@
 
 #include "analysis/AttributeCheck.h"
 #include "formats/FormatRegistry.h"
+#include "lower/LIR.h"
 #include "runtime/Engine.h"
 #include "serialize/Printer.h"
 #include "service/InputSource.h"
 #include "service/ParseService.h"
+#include "support/Casting.h"
 
 #include "CorruptCorpus.h"
 #include "TreeCanonical.h"
@@ -155,6 +157,83 @@ TEST(RecoveryTest, SalvageFillsHoleOverResolvedInterval) {
 
 namespace {
 
+/// K's alternatives both carry byte guards ('a' / 'b' at offset 0).
+const char *GuardedLastAltGrammar = R"(
+  S -> "<"[0, 1] K[1, 2] ">"[2, 3] ;
+  K -> "a"[0, 1] {v = 1} / "b"[0, 1] {v = 2} ;
+)";
+
+/// The same K, reached from an alternative that still has a fallback.
+const char *GuardedWithFallbackGrammar = R"(
+  S -> "<"[0, 1] K[1, 2] ">"[2, 3] / raw[0, EOI] ;
+  K -> "a"[0, 1] {v = 1} / "b"[0, 1] {v = 2} ;
+)";
+
+} // namespace
+
+// Alternative guards (lir::AltGuard) are skipped under Salvage exactly
+// when no backtrack point is live: then the guarded term's failure may
+// become a hole, so the last alternative must still run. With a live
+// fallback up the stack the guard applies, and the parse backtracks as
+// Strict would.
+TEST(RecoveryTest, FailingGuardOfLastAlternativeStillEmitsItsHole) {
+  Grammar G = load(GuardedLastAltGrammar);
+  {
+    lir::Module M = lir::lower(G);
+    const lir::RuleL &K =
+        M.Rules[M.globalRuleOf(G.interner().lookup("K"))];
+    ASSERT_TRUE(K.Alts[0].Guard);
+    ASSERT_TRUE(K.Alts[1].Guard) << "the test needs a guarded last alt";
+  }
+  const std::vector<uint8_t> Bad = {'<', 'z', '>'};
+
+  for (EngineKind Kind : InProcessKinds) {
+    SCOPED_TRACE(engineKindName(Kind));
+    auto Strict = makeEngine(Kind, G);
+    ASSERT_TRUE(Strict) << Strict.message();
+    EXPECT_FALSE((*Strict)->parse(ByteSpan::of(Bad)));
+
+    auto E = makeEngine(Kind, G, nullptr, salvageOpts());
+    ASSERT_TRUE(E) << E.message();
+    auto T = (*E)->parse(ByteSpan::of(Bad));
+    ASSERT_TRUE(T) << T.message();
+    const EngineStats &Stats = (*E)->stats();
+    EXPECT_EQ(Stats.ParseVerdict, Verdict::Salvage);
+    expectHolesWellFormed(**T, Stats, Bad.size());
+    std::vector<HoleRecord> Holes;
+    collectHoles(**T, Holes);
+    ASSERT_EQ(Holes.size(), 1u);
+    EXPECT_EQ(G.interner().name(Holes[0].Rule), "K");
+    EXPECT_EQ(Holes[0].Lo, 1);
+    EXPECT_EQ(Holes[0].Hi, 2);
+    // The hole sits INSIDE K's last alternative, which then ran to its
+    // end ({v = 2}); had the guard skipped that alternative, S would
+    // have fenced the whole K call instead and no K node would exist.
+    const auto *Root = dyn_cast<NodeTree>(T->get());
+    ASSERT_NE(Root, nullptr);
+    const NodeTree *KNode = Root->childNode(G.interner().lookup("K"));
+    ASSERT_NE(KNode, nullptr) << "K was fenced wholesale";
+    EXPECT_EQ(KNode->attr(G.interner().lookup("v")).value_or(-1), 2);
+    auto P = serialize::printTree(**T, G);
+    ASSERT_TRUE(P) << P.message();
+    EXPECT_EQ(P->Bytes, Bad);
+  }
+
+  Grammar GF = load(GuardedWithFallbackGrammar);
+  for (EngineKind Kind : InProcessKinds) {
+    SCOPED_TRACE(engineKindName(Kind));
+    auto E = makeEngine(Kind, GF, nullptr, salvageOpts());
+    ASSERT_TRUE(E) << E.message();
+    auto T = (*E)->parse(ByteSpan::of(Bad));
+    ASSERT_TRUE(T) << T.message();
+    EXPECT_EQ((*E)->stats().ParseVerdict, Verdict::Accept)
+        << "a live fallback must win over a hole, as under Strict";
+    EXPECT_EQ((*E)->stats().HolesFilled, 0u);
+  }
+}
+
+namespace {
+
 /// B's interval depends on a length byte validated INSIDE M. Damage
 /// that trips M's check() turns M into a hole, M.val into nothing, and
 /// B's bound into an unresolvable expression — salvage must then refuse
@@ -268,9 +347,10 @@ TEST(RecoveryTest, CorruptSweepVerdictParityInterpVsVm) {
         EXPECT_EQ(RI.message().rfind("internal:", 0), std::string::npos)
             << "salvage sweep tripped an internal error: " << RI.message();
         ASSERT_EQ(SI.FailRule == ~0u, SV.FailRule == ~0u);
-        if (SI.FailRule != ~0u)
+        if (SI.FailRule != ~0u) {
           EXPECT_EQ(IE->Load->G.interner().name(SI.FailRule),
                     VE->Load->G.interner().name(SV.FailRule));
+        }
         EXPECT_EQ(SI.FailOffset, SV.FailOffset);
       }
       ++Checked;

@@ -10,7 +10,8 @@
 /// three engines rely on, directly on the lir::Module — operand
 /// resolution for checked grammars, literal interning, the dense
 /// name-table contract, exists-scan resolution, blackbox site
-/// deduplication, memoization policy — plus the well-formedness of every
+/// deduplication, memoization policy, the alternative guards derived
+/// for pdf and zip — plus the well-formedness of every
 /// compiled expression program (forward-only jumps, in-bounds targets,
 /// stack balance via lir::verify). The big-corpus equivalence of the
 /// bytecode VM itself is differential_test.cpp's job; this file adds
@@ -34,6 +35,7 @@
 #include "vm/BytecodeVM.h"
 #include "vm/ProgramEval.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -263,6 +265,174 @@ TEST(LirTest, ExistsScansAreResolved) {
   EXPECT_NE(E.Cond, lir::NoExpr);
   EXPECT_NE(E.Then, lir::NoExpr);
   EXPECT_NE(E.Else, lir::NoExpr);
+}
+
+//===----------------------------------------------------------------------===//
+// Alternative guards (lir::AltGuard): what the lowering proves about the
+// pdf grammar, that no guard's transparent prefix reaches a blackbox, and
+// that lir::verify rejects malformed guards.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+const lir::RuleL &ruleNamed(const lir::Module &M, const Grammar &G,
+                            const char *Name) {
+  RuleId Id = M.globalRuleOf(G.interner().lookup(Name));
+  EXPECT_NE(Id, InvalidRuleId) << Name;
+  if (Id == InvalidRuleId)
+    std::abort();
+  return M.Rules[Id];
+}
+
+/// The guard's set as a sorted byte list, for readable expectations.
+std::vector<int> guardBytes(const lir::AltGuard &G) {
+  std::vector<int> Out;
+  for (int B = 0; B < 256; ++B)
+    if (G.has(static_cast<uint8_t>(B)))
+      Out.push_back(B);
+  return Out;
+}
+
+std::vector<int> byteRange(char Lo, char Hi) {
+  std::vector<int> Out;
+  for (int B = Lo; B <= Hi; ++B)
+    Out.push_back(B);
+  return Out;
+}
+
+/// Whether running \p T can reach a blackbox call, directly or through
+/// any rule it calls.
+bool reachesBlackbox(const lir::Module &M, const lir::TermL &T) {
+  std::vector<RuleId> Work;
+  std::vector<bool> Seen(M.Rules.size(), false);
+  auto push = [&](RuleId R) {
+    if (R != InvalidRuleId && !Seen[R]) {
+      Seen[R] = true;
+      Work.push_back(R);
+    }
+  };
+  auto visit = [&](const lir::TermL &X) {
+    if (X.Op == lir::TermOp::CallBlackbox)
+      return true;
+    if (X.Op == lir::TermOp::CallRule || X.Op == lir::TermOp::ForArray)
+      push(X.Rule);
+    if (X.Op == lir::TermOp::Select)
+      for (uint32_t I = X.ArmsBegin; I < X.ArmsEnd; ++I)
+        push(M.Arms[I].Rule);
+    return false;
+  };
+  if (visit(T))
+    return true;
+  while (!Work.empty()) {
+    RuleId R = Work.back();
+    Work.pop_back();
+    for (const lir::AltL &A : M.Rules[R].Alts)
+      for (const lir::TermL &X : A.Exec)
+        if (visit(X))
+          return true;
+  }
+  return false;
+}
+
+} // namespace
+
+TEST(LirTest, PdfGuardsSkipDigitProbesAndTheDeadXNumDescent) {
+  auto Load = formats::loadFormatGrammar("pdf");
+  ASSERT_TRUE(Load) << Load.message();
+  const Grammar &G = Load->G;
+  lir::Module M = lir::lower(G);
+  ASSERT_EQ(lir::verify(M), "");
+
+  // Digit: ten one-byte literals, one guard each: '0'..'9' at offset 0.
+  const lir::RuleL &Digit = ruleNamed(M, G, "Digit");
+  ASSERT_EQ(Digit.Alts.size(), 10u);
+  for (size_t I = 0; I < 10; ++I) {
+    SCOPED_TRACE("Digit alternative " + std::to_string(I));
+    const lir::AltGuard &Gd = Digit.Alts[I].Guard;
+    ASSERT_TRUE(Gd);
+    EXPECT_EQ(Gd.Anchor, lir::GuardAnchor::Start);
+    EXPECT_EQ(Gd.Offset, 0u);
+    EXPECT_EQ(Gd.Term, 0u);
+    EXPECT_EQ(guardBytes(Gd), std::vector<int>{int('0' + I)});
+  }
+
+  // XNum's self alternative: its first term, the self call, has no FIRST
+  // set (XNum's base case reads EOI - 1, not offset 0), so the guard
+  // comes from Digit[EOI - 1, EOI] after it: a digit at EOI - 1.
+  const lir::RuleL &XNum = ruleNamed(M, G, "XNum");
+  ASSERT_EQ(XNum.Shape, ExecShape::Flattened);
+  const lir::AltL &Self = XNum.Alts[XNum.Flatten.SelfAlt];
+  ASSERT_TRUE(Self.Guard);
+  EXPECT_EQ(Self.Guard.Anchor, lir::GuardAnchor::Eoi);
+  EXPECT_EQ(Self.Guard.Offset, 1u);
+  EXPECT_GT(Self.Guard.Term, XNum.Flatten.SelfExecPos);
+  EXPECT_EQ(Self.Exec[Self.Guard.Term].Op, lir::TermOp::CallRule);
+  EXPECT_EQ(Self.Exec[Self.Guard.Term].Rule,
+            M.globalRuleOf(G.interner().lookup("Digit")));
+  EXPECT_EQ(guardBytes(Self.Guard), byteRange('0', '9'));
+
+  // Scan: "endobj" is guarded by its 'e'; `raw[1] Scan` proves nothing.
+  const lir::RuleL &Scan = ruleNamed(M, G, "Scan");
+  ASSERT_EQ(Scan.Alts.size(), 2u);
+  ASSERT_TRUE(Scan.Alts[0].Guard);
+  EXPECT_EQ(Scan.Alts[0].Guard.Anchor, lir::GuardAnchor::Start);
+  EXPECT_EQ(Scan.Alts[0].Guard.Offset, 0u);
+  EXPECT_EQ(guardBytes(Scan.Alts[0].Guard), std::vector<int>{'e'});
+  EXPECT_FALSE(Scan.Alts[1].Guard);
+}
+
+TEST(LirTest, NoGuardPrefixReachesABlackbox) {
+  for (const formats::FormatInfo &FI : formats::allFormats()) {
+    SCOPED_TRACE("format: " + FI.Name);
+    auto Load = formats::loadFormatGrammar(FI.Name);
+    ASSERT_TRUE(Load) << Load.message();
+    lir::Module M = lir::lower(Load->G);
+    size_t Guards = 0;
+    for (const lir::RuleL &R : M.Rules)
+      for (const lir::AltL &A : R.Alts) {
+        if (!A.Guard)
+          continue;
+        ++Guards;
+        ASSERT_LT(A.Guard.Term, A.Exec.size());
+        for (uint32_t I = 0; I < A.Guard.Term; ++I)
+          EXPECT_FALSE(reachesBlackbox(M, A.Exec[I]))
+              << "rule '" << M.nameOf(R.Name) << "': prefix term " << I
+              << " of a guarded alternative reaches a blackbox";
+      }
+    if (FI.Name == "zip") {
+      EXPECT_GT(Guards, 0u) << "zip's signatures should yield guards";
+    }
+  }
+}
+
+TEST(LirTest, VerifyRejectsMalformedGuards) {
+  Grammar G = load(R"(
+    S -> "ab"[0, 2] T[2, EOI] ;
+    T -> "c"[EOI - 1, EOI] / "d"[0, 1] ;
+  )");
+  lir::Module M = lir::lower(G);
+  ASSERT_EQ(lir::verify(M), "");
+  lir::AltGuard &Gd = M.Rules[1].Alts[0].Guard;
+  ASSERT_EQ(Gd.Anchor, lir::GuardAnchor::Eoi);
+  const lir::AltGuard Good = Gd;
+
+  auto expectRejected = [&](const char *What) {
+    std::string Err = lir::verify(M);
+    EXPECT_NE(Err.find(What), std::string::npos)
+        << "expected a '" << What << "' violation, got: '" << Err << "'";
+    Gd = Good;
+  };
+  std::fill(Gd.Set, Gd.Set + 4, 0ull);
+  expectRejected("set is empty");
+  Gd.Anchor = static_cast<lir::GuardAnchor>(7);
+  expectRejected("anchor out of range");
+  Gd.Offset = 0; // EOI - 0 is never a byte of the window
+  expectRejected("offset out of range");
+  Gd.Offset = lir::MaxGuardOffset + 1u;
+  expectRejected("offset out of range");
+  Gd.Term = 5;
+  expectRejected("term out of range");
+  EXPECT_EQ(lir::verify(M), "");
 }
 
 //===----------------------------------------------------------------------===//
