@@ -7,9 +7,9 @@
 //
 // The bytecode VM is the parse skeleton (runtime/ParseSkeleton.h) run with
 // the ProgramEval policy (vm/ProgramEval.h). This file holds that policy's
-// out-of-line half — the construction-time decoder that turns each
-// compiled program into its QuickExpr, the quick forms that do not inline,
-// and the computed-goto dispatch loop for the rest — plus the engine glue.
+// out-of-line half — the construction-time decoder that folds each
+// compiled program into its QuickExpr, the loads that do not inline, and
+// the computed-goto dispatch loop for the rest — plus the engine glue.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +24,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 using namespace ipg;
@@ -32,294 +33,105 @@ namespace {
 
 using QE = BytecodeVM::QuickExpr;
 
-/// Decodes one expression program into its closed quick form, or General
-/// when no pattern applies. The recognized shapes — a constant, EOI, a
-/// single attribute / sibling-attribute / term-end load, any of those
-/// +/- a constant, a constant times an attribute, term-end plus an
-/// attribute, and a fixed-width read at a constant or attribute(+const)
-/// offset — cover nearly every interval endpoint real grammars produce. Equivalence contract:
-/// a quick form must compute exactly what the dispatch loop would (same
-/// partiality order, same wrapping add), so classification errs toward
-/// General whenever that is in doubt (e.g. subtracting INT64_MIN, whose
-/// negation does not exist).
-QE classifyExpr(const lir::Module &L, uint32_t Id,
-                std::vector<BytecodeVM::DigitTerm> &Digits) {
-  const lir::ExprProgram &P = L.Exprs[Id];
-  const lir::XInstr *C = L.XCode.data() + P.Begin;
-  const uint32_t N = P.End - P.Begin;
-  QE Q;
+/// The deepest operand stack classifyExpr tracks; deeper programs stay
+/// General.
+constexpr uint32_t MaxFoldDepth = 4;
 
-  auto loadOf = [](const lir::XInstr &I, QE &O) -> bool {
+/// A quick form with no arithmetic folded in yet: Mul = 1, Imm = 0.
+QE loadForm(QE::Kind K, Symbol Sym = 0, uint32_t A = 0) {
+  QE Q;
+  Q.K = K;
+  Q.Sym = Sym;
+  Q.A = A;
+  return Q;
+}
+
+/// Folds \p R into \p Lhs for Add, Sub or Mul. Fails when both operands
+/// carry a load: their sum or product is not of the one-load form.
+bool foldArith(lir::XOp Op, QE &Lhs, QE R) {
+  if (Lhs.K != QE::Const && R.K != QE::Const)
+    return false;
+  if (Op == lir::XOp::Sub) { // a - b == a + (-1) * b, exactly mod 2^64
+    R.Mul = ipg_rt::wrapMul(R.Mul, -1);
+    R.Imm = ipg_rt::wrapMul(R.Imm, -1);
+  }
+  if (Lhs.K == QE::Const) // + and * commute: keep the load on the left
+    std::swap(Lhs, R);
+  if (Op == lir::XOp::Mul) {
+    Lhs.Mul = ipg_rt::wrapMul(Lhs.Mul, R.Imm);
+    Lhs.Imm = ipg_rt::wrapMul(Lhs.Imm, R.Imm);
+  } else {
+    Lhs.Imm = ipg_rt::wrapAdd(Lhs.Imm, R.Imm);
+  }
+  return true;
+}
+
+/// Folds one expression program into `Mul * load + Imm` by interpreting
+/// it over abstract values of that form (a Const value is just Imm), or
+/// returns General when it does not fit. Num and the scalar loads push;
+/// + - * fold while at most one operand carries a load, which is exact
+/// because the dispatch loop's arithmetic wraps too; a fixed-width
+/// ReadFixed over a constant or `attribute + constant` offset becomes
+/// the Read load. Every other opcode — comparisons, guarded operators,
+/// jumps, element loads, btoi windows — leaves the program General.
+/// Since Num and + - * cannot fail, a one-load program fails exactly
+/// when its load does, as the loop would.
+QE classifyExpr(const lir::Module &L, uint32_t Id) {
+  const lir::ExprProgram &P = L.Exprs[Id];
+  if (P.MaxStack > MaxFoldDepth)
+    return QE();
+  QE S[MaxFoldDepth];
+  uint32_t SP = 0;
+  for (uint32_t PC = P.Begin; PC < P.End; ++PC) {
+    const lir::XInstr &I = L.XCode[PC];
     switch (I.Op) {
     case lir::XOp::Num:
-      O.K = QE::Const;
-      O.Imm = I.Imm;
-      return true;
+      S[SP] = loadForm(QE::Const);
+      S[SP++].Imm = I.Imm;
+      break;
     case lir::XOp::LoadEoi:
-      O.K = QE::Eoi;
-      return true;
+      S[SP++] = loadForm(QE::Eoi);
+      break;
     case lir::XOp::LoadAttr:
-      O.K = QE::Attr;
-      O.Sym = I.Sym;
-      return true;
+      S[SP++] = loadForm(QE::Attr, I.Sym);
+      break;
     case lir::XOp::LoadNtAttr:
-      O.K = QE::NtAttr;
-      O.Sym = I.Sym;
-      O.A = I.Attr;
-      return true;
+      S[SP++] = loadForm(QE::NtAttr, I.Sym, I.Attr);
+      break;
     case lir::XOp::LoadTermEnd:
-      O.K = QE::TermEnd;
-      O.A = static_cast<uint32_t>(I.Imm);
-      return true;
+      S[SP++] = loadForm(QE::TermEnd, 0, static_cast<uint32_t>(I.Imm));
+      break;
+    case lir::XOp::Add:
+    case lir::XOp::Sub:
+    case lir::XOp::Mul:
+      --SP;
+      if (!foldArith(I.Op, S[SP - 1], S[SP]))
+        return QE();
+      break;
+    case lir::XOp::ReadFixed: {
+      // The width|endian spec is resolved here so the evaluator can use
+      // compile-time-width loads (readFixedQuick).
+      long long Width = 0;
+      bool BigEndian = false;
+      QE &Off = S[SP - 1];
+      const bool AtAttr = Off.K == QE::Attr && Off.Mul == 1;
+      if (!ipg_rt::readKindSpec(I.A, Width, BigEndian) ||
+          (Off.K != QE::Const && !AtAttr))
+        return QE();
+      QE R = loadForm(QE::Read, Off.Sym,
+                      static_cast<uint32_t>(Width) |
+                          (BigEndian ? 0x100u : 0u));
+      R.ReadAtAttr = AtAttr;
+      R.Off = Off.Imm;
+      Off = R;
+      break;
+    }
     default:
-      return false;
-    }
-  };
-
-  if (N == 1) {
-    loadOf(C[0], Q);
-    return Q;
-  }
-  // Reads pre-resolve the ReadKind to a width|endian spec so the
-  // evaluator can use compile-time-width loads (readFixedQuick). A kind
-  // without a fixed spec stays General.
-  auto readSpec = [](uint32_t RK, uint32_t &Spec) -> bool {
-    long long Width = 0;
-    bool BigEndian = false;
-    if (!ipg_rt::readKindSpec(RK, Width, BigEndian))
-      return false;
-    Spec = static_cast<uint32_t>(Width) | (BigEndian ? 0x100u : 0u);
-    return true;
-  };
-  if (N == 2 && C[1].Op == lir::XOp::ReadFixed) {
-    uint32_t Spec = 0;
-    if (!readSpec(C[1].A, Spec))
-      return Q;
-    if (C[0].Op == lir::XOp::Num) {
-      Q.K = QE::ReadAtConst;
-      Q.A = Spec;
-      Q.Imm = C[0].Imm;
-    } else if (C[0].Op == lir::XOp::LoadAttr) {
-      Q.K = QE::ReadAtAttr;
-      Q.A = Spec;
-      Q.Sym = C[0].Sym;
-    }
-    return Q;
-  }
-  if (N == 3 && C[2].Op == lir::XOp::Add &&
-      C[0].Op == lir::XOp::LoadTermEnd && C[1].Op == lir::XOp::LoadAttr) {
-    Q.K = QE::TermEndAttr;
-    Q.A = static_cast<uint32_t>(C[0].Imm);
-    Q.Sym = C[1].Sym;
-    return Q;
-  }
-  if (N == 3 && C[2].Op == lir::XOp::Mul && C[0].Op == lir::XOp::Num &&
-      C[1].Op == lir::XOp::LoadAttr) {
-    Q.K = QE::AttrMulImm;
-    Q.Sym = C[1].Sym;
-    Q.Imm = C[0].Imm;
-    return Q;
-  }
-  // Imm * (attr + Imm2) — the strided-width form.
-  if (N == 5 && C[0].Op == lir::XOp::Num && C[1].Op == lir::XOp::LoadAttr &&
-      C[2].Op == lir::XOp::Num && C[3].Op == lir::XOp::Add &&
-      C[4].Op == lir::XOp::Mul) {
-    Q.K = QE::AttrMulImm;
-    Q.Sym = C[1].Sym;
-    Q.Imm = C[0].Imm;
-    Q.Imm2 = C[2].Imm;
-    return Q;
-  }
-  // nt.base + (i + Imm) * nt.stride — the array-element interval
-  // endpoint (e.g. ELF's shoff + i*shentsize), evaluated once per
-  // element per endpoint, so easily the hottest general shape.
-  if ((N == 5 || N == 7) && C[0].Op == lir::XOp::LoadNtAttr &&
-      C[1].Op == lir::XOp::LoadAttr && C[N - 3].Op == lir::XOp::LoadNtAttr &&
-      C[N - 2].Op == lir::XOp::Mul && C[N - 1].Op == lir::XOp::Add &&
-      (N == 5 ||
-       (C[2].Op == lir::XOp::Num && C[3].Op == lir::XOp::Add))) {
-    Q.K = QE::NtAffine;
-    Q.Sym = C[0].Sym;
-    Q.A = C[0].Attr;
-    Q.Sym3 = C[1].Sym;
-    Q.Imm = N == 7 ? C[2].Imm : 0;
-    Q.Sym2 = C[N - 3].Sym;
-    Q.Attr2 = C[N - 3].Attr;
-    return Q;
-  }
-  // attr + Imm + Imm2 * (attr2 [+ inner]) — the fixed-pitch table-row
-  // endpoint (e.g. PDF's xref rows at base + 13 + 20*i), evaluated once
-  // per row per endpoint.
-  if ((N == 7 || N == 9) && C[0].Op == lir::XOp::LoadAttr &&
-      C[1].Op == lir::XOp::Num && C[2].Op == lir::XOp::Add &&
-      C[3].Op == lir::XOp::Num && C[4].Op == lir::XOp::LoadAttr &&
-      C[N - 2].Op == lir::XOp::Mul && C[N - 1].Op == lir::XOp::Add &&
-      (N == 7 || (C[5].Op == lir::XOp::Num && C[6].Op == lir::XOp::Add))) {
-    const int64_t Inner = N == 9 ? C[5].Imm : 0;
-    if (Inner >= INT32_MIN && Inner <= INT32_MAX) {
-      Q.K = QE::AttrAffinePair;
-      Q.Sym = C[0].Sym;
-      Q.Imm = C[1].Imm;
-      Q.Imm2 = C[3].Imm;
-      Q.Sym2 = C[4].Sym;
-      Q.A = static_cast<uint32_t>(static_cast<int32_t>(Inner));
-      return Q;
+      return QE();
     }
   }
-  // nt.a * Imm + nt2.b — two sibling attributes assembled positionally.
-  if (N == 5 && C[0].Op == lir::XOp::LoadNtAttr &&
-      C[1].Op == lir::XOp::Num && C[2].Op == lir::XOp::Mul &&
-      C[3].Op == lir::XOp::LoadNtAttr && C[4].Op == lir::XOp::Add) {
-    Q.K = QE::NtAttrScalePair;
-    Q.Sym = C[0].Sym;
-    Q.A = C[0].Attr;
-    Q.Imm = C[1].Imm;
-    Q.Sym2 = C[3].Sym;
-    Q.Attr2 = C[3].Attr;
-    return Q;
-  }
-  // arr[i].attr, alone or compared against a constant (the latter is the
-  // typical exists-scan condition, evaluated once per element per scan).
-  if ((N == 2 || (N == 4 && C[2].Op == lir::XOp::Num &&
-                  C[3].Op == lir::XOp::Eq)) &&
-      C[0].Op == lir::XOp::LoadAttr && C[1].Op == lir::XOp::LoadElemAttr) {
-    Q.K = N == 2 ? QE::ElemAttr : QE::ElemAttrEqImm;
-    Q.Sym3 = C[0].Sym;
-    Q.Sym = C[1].Sym;
-    Q.A = C[1].Attr;
-    if (N == 4)
-      Q.Imm = C[2].Imm;
-    return Q;
-  }
-  // arr[i].a + arr[j].b — an element's byte extent (offset + size).
-  if (N == 5 && C[0].Op == lir::XOp::LoadAttr &&
-      C[1].Op == lir::XOp::LoadElemAttr && C[2].Op == lir::XOp::LoadAttr &&
-      C[3].Op == lir::XOp::LoadElemAttr && C[4].Op == lir::XOp::Add) {
-    Q.K = QE::ElemAttrPair;
-    Q.Sym3 = C[0].Sym;
-    Q.Sym = C[1].Sym;
-    Q.A = C[1].Attr;
-    Q.Imm = static_cast<int64_t>(C[2].Sym);
-    Q.Sym2 = C[3].Sym;
-    Q.Attr2 = C[3].Attr;
-    return Q;
-  }
-  if (N == 3 && C[0].Op == lir::XOp::LoadAttr && C[1].Op == lir::XOp::Num &&
-      C[2].Op == lir::XOp::Eq) {
-    Q.K = QE::AttrEqImm;
-    Q.Sym = C[0].Sym;
-    Q.Imm = C[1].Imm;
-    return Q;
-  }
-  if (N == 3 && C[0].Op == lir::XOp::LoadEoi && C[1].Op == lir::XOp::Num &&
-      C[2].Op == lir::XOp::Div) {
-    Q.K = QE::EoiDivImm;
-    Q.Imm = C[1].Imm;
-    return Q;
-  }
-  // attr >= lo && attr' <= hi (or the strict variants) with And's
-  // short-circuit: BrFalse must jump to the end of the program.
-  if (N == 8 && C[0].Op == lir::XOp::LoadAttr && C[1].Op == lir::XOp::Num &&
-      (C[2].Op == lir::XOp::Ge || C[2].Op == lir::XOp::Gt) &&
-      C[3].Op == lir::XOp::BrFalse && C[3].A == 8 &&
-      C[4].Op == lir::XOp::LoadAttr && C[5].Op == lir::XOp::Num &&
-      (C[6].Op == lir::XOp::Le || C[6].Op == lir::XOp::Lt) &&
-      C[7].Op == lir::XOp::Bool) {
-    Q.K = QE::AttrInRange;
-    Q.Sym = C[0].Sym;
-    Q.Imm = C[1].Imm;
-    Q.Sym2 = C[4].Sym;
-    Q.Imm2 = C[5].Imm;
-    Q.A = (C[2].Op == lir::XOp::Gt ? 1u : 0u) |
-          (C[6].Op == lir::XOp::Lt ? 2u : 0u);
-    return Q;
-  }
-  if (N == 4 && C[0].Op == lir::XOp::LoadAttr && C[1].Op == lir::XOp::Num &&
-      C[2].Op == lir::XOp::Add && C[3].Op == lir::XOp::ReadFixed) {
-    uint32_t Spec = 0;
-    if (!readSpec(C[3].A, Spec))
-      return Q;
-    Q.K = QE::ReadAtAttr;
-    Q.A = Spec;
-    Q.Sym = C[0].Sym;
-    Q.Imm = C[1].Imm;
-    return Q;
-  }
-  if (N == 3 && C[1].Op == lir::XOp::Num &&
-      (C[2].Op == lir::XOp::Add || C[2].Op == lir::XOp::Sub)) {
-    QE B;
-    if (!loadOf(C[0], B))
-      return Q;
-    int64_t Addend = C[1].Imm;
-    if (C[2].Op == lir::XOp::Sub) {
-      if (Addend == INT64_MIN)
-        return Q;
-      Addend = -Addend;
-    }
-    // Fold with the dispatch loop's wrapping semantics (two's-complement
-    // add, not UB signed overflow at classification time).
-    B.Imm = static_cast<int64_t>(static_cast<uint64_t>(B.Imm) +
-                                 static_cast<uint64_t>(Addend));
-    return B;
-  }
-  // Positional decimal decode: sum of (read(off_i) - sub) * w_i over
-  // constant offsets, one read per digit — PDF's xref-entry numbers,
-  // by far the longest programs in any format. Every operation except
-  // the reads is total (wrapping), and the reads happen left to right
-  // in both forms, so the table walk is exactly the dispatch loop.
-  if (N >= 9) {
-    uint32_t Spec = 0;
-    int64_t Sub = 0;
-    uint32_t I = 0;
-    bool First = true, Ok = true;
-    const size_t Mark = Digits.size();
-    while (I < N) {
-      if (I + 3 >= N || C[I].Op != lir::XOp::Num ||
-          C[I + 1].Op != lir::XOp::ReadFixed ||
-          C[I + 2].Op != lir::XOp::Num || C[I + 3].Op != lir::XOp::Sub) {
-        Ok = false;
-        break;
-      }
-      uint32_t S = 0;
-      if (!readSpec(C[I + 1].A, S) || (!First && S != Spec) ||
-          (!First && C[I + 2].Imm != Sub)) {
-        Ok = false;
-        break;
-      }
-      Spec = S;
-      Sub = C[I + 2].Imm;
-      const int64_t Off = C[I].Imm;
-      int64_t W = 1;
-      I += 4;
-      // Weight is optional (the least-significant digit has none). The
-      // lookahead is unambiguous: a new term starts Num ReadFixed, never
-      // Num Mul.
-      if (I + 1 < N && C[I].Op == lir::XOp::Num &&
-          C[I + 1].Op == lir::XOp::Mul) {
-        W = C[I].Imm;
-        I += 2;
-      }
-      if (!First) {
-        if (I >= N || C[I].Op != lir::XOp::Add) {
-          Ok = false;
-          break;
-        }
-        ++I;
-      }
-      Digits.push_back({Off, W});
-      First = false;
-    }
-    if (Ok && Digits.size() - Mark >= 2) {
-      Q.K = QE::Digits;
-      Q.A = Spec;
-      Q.B = static_cast<uint32_t>(Mark);
-      Q.Imm = static_cast<int64_t>(Digits.size() - Mark);
-      Q.Imm2 = Sub;
-      return Q;
-    }
-    Digits.resize(Mark); // partial match: discard, stay General
-  }
-  return Q;
+  assert(SP == 1 && "expression program must leave 1 value");
+  return S[0];
 }
 
 } // namespace
@@ -353,175 +165,43 @@ bool ProgramEval::evalExists(const Frame &F, uint32_t Idx, int64_t &Out) {
   return evalProgram(F, X.Else, Out);
 }
 
-/// The remaining quick kinds; General falls through to the dispatch
-/// loop. Outlined so evalProgram stays small enough to inline.
+/// The loads evalProgram does not inline, then the shared formula;
+/// General runs the dispatch loop.
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((noinline))
 #endif
 bool
 ProgramEval::evalQuickRest(const Frame &F, const QE &Q, lir::ExprId Id,
                            int64_t &Out) {
+  int64_t V = 0;
   switch (Q.K) {
-  case QE::Const:
-  case QE::Eoi:
-    break; // handled by evalProgram before the call
   case QE::Attr:
-    if (!loadAttr(F, Q.Sym, Out))
-      return false;
-    Out = ipg_rt::wrapAdd(Out, Q.Imm);
-    return true;
-  case QE::NtAttr:
-    if (!loadNtAttr(F, Q.Sym, Q.A, Out))
-      return false;
-    Out = ipg_rt::wrapAdd(Out, Q.Imm);
-    return true;
-  case QE::TermEnd:
-    if (!F.termEnd(Q.A, Out))
-      return false;
-    Out = ipg_rt::wrapAdd(Out, Q.Imm);
-    return true;
-  case QE::TermEndAttr: {
-    int64_t B = 0, At = 0;
-    if (!F.termEnd(Q.A, B) || !loadAttr(F, Q.Sym, At))
-      return false;
-    Out = ipg_rt::wrapAdd(B, At);
-    return true;
-  }
-  case QE::AttrMulImm:
-    if (!loadAttr(F, Q.Sym, Out))
-      return false;
-    Out = ipg_rt::wrapMul(Q.Imm, ipg_rt::wrapAdd(Out, Q.Imm2));
-    return true;
-  case QE::NtAffine: {
-    int64_t Base = 0, Idx = 0, Stride = 0;
-    if (!loadNtAttr(F, Q.Sym, Q.A, Base) || !loadAttr(F, Q.Sym3, Idx) ||
-        !loadNtAttr(F, Q.Sym2, Q.Attr2, Stride))
-      return false;
-    Out = ipg_rt::wrapAdd(
-        Base, ipg_rt::wrapMul(ipg_rt::wrapAdd(Idx, Q.Imm), Stride));
-    return true;
-  }
-  case QE::AttrAffinePair: {
-    int64_t L = 0, R = 0;
-    if (!loadAttr(F, Q.Sym, L) || !loadAttr(F, Q.Sym2, R))
-      return false;
-    const uint64_t Inner = static_cast<uint64_t>(R) +
-                           static_cast<uint64_t>(static_cast<int32_t>(Q.A));
-    Out = static_cast<int64_t>(static_cast<uint64_t>(L) +
-                               static_cast<uint64_t>(Q.Imm) +
-                               static_cast<uint64_t>(Q.Imm2) * Inner);
-    return true;
-  }
-  case QE::NtAttrScalePair: {
-    int64_t L = 0, R = 0;
-    if (!loadNtAttr(F, Q.Sym, Q.A, L) ||
-        !loadNtAttr(F, Q.Sym2, Q.Attr2, R))
-      return false;
-    Out = static_cast<int64_t>(static_cast<uint64_t>(L) *
-                                   static_cast<uint64_t>(Q.Imm) +
-                               static_cast<uint64_t>(R));
-    return true;
-  }
-  case QE::ElemAttr:
-  case QE::ElemAttrEqImm: {
-    int64_t Idx = 0;
-    if (!loadAttr(F, Q.Sym3, Idx))
-      return false;
-    const ArrayTree *A = findArray(F, Q.Sym);
-    if (!A || Idx < 0 || static_cast<size_t>(Idx) >= A->size())
-      return false;
-    const NodeTree *Nd = A->element(static_cast<size_t>(Idx));
-    if (!Nd)
-      return false;
-    auto V = Nd->attr(Q.A);
-    if (!V)
-      return false;
-    Out = Q.K == QE::ElemAttr ? *V : (*V == Q.Imm ? 1 : 0);
-    return true;
-  }
-  case QE::ElemAttrPair: {
-    // arr Sym [attr(Sym3)].A + arr Sym2 [attr(Imm)].Attr2, in the
-    // loop's exact load order.
-    int64_t Idx1 = 0;
-    if (!loadAttr(F, Q.Sym3, Idx1))
-      return false;
-    const ArrayTree *A1 = findArray(F, Q.Sym);
-    if (!A1 || Idx1 < 0 || static_cast<size_t>(Idx1) >= A1->size())
-      return false;
-    const NodeTree *N1 = A1->element(static_cast<size_t>(Idx1));
-    if (!N1)
-      return false;
-    auto V1 = N1->attr(Q.A);
-    if (!V1)
-      return false;
-    int64_t Idx2 = 0;
-    if (!loadAttr(F, static_cast<Symbol>(Q.Imm), Idx2))
-      return false;
-    const ArrayTree *A2 = findArray(F, Q.Sym2);
-    if (!A2 || Idx2 < 0 || static_cast<size_t>(Idx2) >= A2->size())
-      return false;
-    const NodeTree *N2 = A2->element(static_cast<size_t>(Idx2));
-    if (!N2)
-      return false;
-    auto V2 = N2->attr(Q.Attr2);
-    if (!V2)
-      return false;
-    Out = static_cast<int64_t>(static_cast<uint64_t>(*V1) +
-                               static_cast<uint64_t>(*V2));
-    return true;
-  }
-  case QE::AttrEqImm:
-    if (!loadAttr(F, Q.Sym, Out))
-      return false;
-    Out = Out == Q.Imm ? 1 : 0;
-    return true;
-  case QE::Digits: {
-    const BytecodeVM::DigitTerm *T = Digits.data() + Q.B;
-    uint64_t Acc = 0;
-    for (int64_t I = 0; I < Q.Imm; ++I) {
-      int64_t V = 0;
-      if (!readFixedQuick(F, Q.A, T[I].Off, V))
-        return false;
-      Acc += (static_cast<uint64_t>(V) - static_cast<uint64_t>(Q.Imm2)) *
-             static_cast<uint64_t>(T[I].Weight);
-    }
-    Out = static_cast<int64_t>(Acc);
-    return true;
-  }
-  case QE::EoiDivImm: {
-    long long Guarded = 0;
-    if (!ipg_rt::checkedDiv(static_cast<int64_t>(F.Input.size()), Q.Imm,
-                            Guarded))
-      return false;
-    Out = Guarded;
-    return true;
-  }
-  case QE::AttrInRange: {
-    int64_t V = 0;
     if (!loadAttr(F, Q.Sym, V))
       return false;
-    if (!(Q.A & 1 ? V > Q.Imm : V >= Q.Imm)) {
-      Out = 0; // And short-circuit: the upper bound is never loaded
-      return true;
+    break;
+  case QE::NtAttr:
+    if (!loadNtAttr(F, Q.Sym, Q.A, V))
+      return false;
+    break;
+  case QE::Read: {
+    int64_t Off = Q.Off;
+    if (Q.ReadAtAttr) {
+      if (!loadAttr(F, Q.Sym, Off))
+        return false;
+      Off = ipg_rt::wrapAdd(Off, Q.Off);
     }
-    int64_t W = 0;
-    if (!loadAttr(F, Q.Sym2, W))
+    if (!readFixedQuick(F, Q.A, Off, V))
       return false;
-    Out = (Q.A & 2 ? W < Q.Imm2 : W <= Q.Imm2) ? 1 : 0;
-    return true;
-  }
-  case QE::ReadAtConst:
-    return readFixedQuick(F, Q.A, Q.Imm, Out);
-  case QE::ReadAtAttr: {
-    int64_t Off = 0;
-    if (!loadAttr(F, Q.Sym, Off))
-      return false;
-    return readFixedQuick(F, Q.A, ipg_rt::wrapAdd(Off, Q.Imm), Out);
-  }
-  case QE::General:
     break;
   }
-  return evalGeneral(F, Id, Out);
+  case QE::General:
+  case QE::Const:   // inlined by evalProgram; never reaches here
+  case QE::Eoi:     // inlined by evalProgram; never reaches here
+  case QE::TermEnd: // inlined by evalProgram; never reaches here
+    return evalGeneral(F, Id, Out);
+  }
+  Out = affine(Q, V);
+  return true;
 }
 
 /// The dispatch loop for General programs. The operand stack is a raw
@@ -805,27 +485,26 @@ vm_done:
 #undef IPG_VM_FAIL
 }
 
-void ProgramEval::decode(const lir::Module &L, std::vector<QE> &Quick,
-                         std::vector<DigitTerm> &Digits) {
+void ProgramEval::decode(const lir::Module &L, std::vector<QE> &Quick) {
   Quick.resize(L.Exprs.size());
   for (uint32_t Id = 0; Id < Quick.size(); ++Id)
-    Quick[Id] = classifyExpr(L, Id, Digits);
+    Quick[Id] = classifyExpr(L, Id);
 }
 
 BytecodeVM::BytecodeVM(const Grammar &G, const BlackboxRegistry *Blackboxes,
                        EngineOptions Opts)
     : InProcessEngine(G, Blackboxes, Opts) {
-  // Decode every expression program into its closed quick form once (see
+  // Fold every expression program into its quick form once (see
   // BytecodeVM.h): the dispatch loop then only runs for the few programs
   // that genuinely need an operand stack.
-  ProgramEval::decode(S->Lowered, Quick, QuickDigits);
+  ProgramEval::decode(S->Lowered, Quick);
 }
 
 BytecodeVM::~BytecodeVM() = default;
 
 Expected<TreePtr> BytecodeVM::run(ByteSpan Input, RuleId Start) {
   return ParseSkeleton<ProgramEval>(G, Opts, Stats, *S,
-                                    ProgramEval(*S, Quick, QuickDigits),
+                                    ProgramEval(*S, Quick),
                                     HasDeadline, Deadline)
       .run(Input, Start);
 }

@@ -28,13 +28,15 @@
 ///
 /// The profiled hot path is not the dispatch loop but how often it is
 /// ENTERED: a parse evaluates tens of thousands of interval-endpoint
-/// programs, and almost all of them are trivial (a constant, EOI, an
-/// attribute +/- a constant, a fixed-width read at a known offset). The
-/// engine therefore decodes every program ONCE at construction into a
-/// QuickExpr — a closed-form description the evaluator computes directly,
-/// no operand stack, no dispatch — and only programs that don't fit a
-/// quick form pay for the loop. This is the VM's speed advantage over the
-/// interpreter, which re-walks the expression tree on every evaluation.
+/// programs, and almost all of them are affine in at most one value the
+/// parse supplies — a constant, EOI, an attribute, a sibling's attribute,
+/// a term's recorded end, or a fixed-width read at a constant or
+/// attribute-relative offset. The engine therefore folds every program
+/// ONCE at construction into a QuickExpr, `Mul * load + Imm`, which the
+/// evaluator computes directly with no operand stack and no dispatch;
+/// only programs outside that form pay for the loop. This is the VM's
+/// speed advantage over the interpreter, which re-walks the expression
+/// tree on every evaluation.
 ///
 /// The memory discipline, depth-free contract (grammar recursion bounded
 /// by EngineOptions::MaxDepth alone, never the C stack), and the
@@ -71,69 +73,37 @@ public:
 
   EngineKind kind() const override { return EngineKind::Vm; }
 
-  /// The closed form of one trivial expression program, decoded once at
-  /// engine construction (see the file comment). Every quick form is
-  /// exactly equivalent to running its program through the dispatch loop
-  /// — same value, same partiality, same (wrapping) arithmetic — so the
-  /// evaluator may take either path.
+  /// The closed form of one expression program, folded once at engine
+  /// construction (see the file comment): Out = Mul * load + Imm in
+  /// wrapping (mod 2^64) arithmetic, with at most one load. The fold is
+  /// exact — the dispatch loop's + - * wrap too — and with a single load
+  /// the program fails exactly when that load fails, so the evaluator may
+  /// take either path.
   struct QuickExpr {
     enum Kind : uint8_t {
-      General,      ///< no quick form; run the dispatch loop
-      Const,        ///< Imm
-      Eoi,          ///< |input| + Imm
-      Attr,         ///< attribute Sym (binds, then lexical chain) + Imm
-      NtAttr,       ///< attribute A of the latest sibling node Sym, + Imm
-      TermEnd,      ///< end of term A's recorded interval + Imm
-      TermEndAttr,  ///< end of term A's interval + attribute Sym
-      AttrMulImm,   ///< Imm * (attribute Sym + Imm2) (wrapping)
-      ReadAtConst,  ///< fixed-width read (spec A) at offset Imm
-      ReadAtAttr,   ///< fixed-width read (spec A) at Sym + Imm
-      NtAffine,     ///< nt Sym.A + (attr Sym3 + Imm) * nt Sym2.Attr2 —
-                    ///< the array-element interval form (base+i*stride)
-      ElemAttr,     ///< attribute A of element attr(Sym3) of array Sym
-      ElemAttrEqImm,///< 1 if that element attribute equals Imm, else 0
-      ElemAttrPair, ///< arr Sym [attr(Sym3)].A + arr Sym2 [attr(Imm)].Attr2
-                    ///< — the element extent form (elem.off + elem.size)
-      AttrEqImm,    ///< 1 if attribute Sym equals Imm, else 0
-      EoiDivImm,    ///< |input| / Imm (guarded division)
-      AttrInRange,  ///< attr Sym >= Imm, and then attr Sym2 <= Imm2,
-                    ///< with And's short-circuit partiality
-      Digits,       ///< sum of (read(off_i) - Imm2) * w_i over the Imm
-                    ///< DigitTerm entries starting at B — the positional
-                    ///< decimal-decode form (e.g. PDF xref numbers)
-      AttrAffinePair, ///< attr Sym + Imm + Imm2 * (attr Sym2 + (int32)A)
-                      ///< — the fixed-pitch table-row endpoint form
-      NtAttrScalePair,///< nt Sym.A * Imm + nt Sym2.Attr2 — the
-                      ///< two-sibling positional-value form
+      General, ///< no closed form; run the dispatch loop
+      Const,   ///< no load: Out = Imm
+      Eoi,     ///< load |input|
+      Attr,    ///< load attribute Sym (binds, then lexical chain)
+      NtAttr,  ///< load attribute A of the latest sibling node Sym
+      TermEnd, ///< load the end of term A's recorded interval
+      Read,    ///< load a fixed-width read (spec A) at offset Off, plus
+               ///< attribute Sym when ReadAtAttr
     };
     Kind K = General;
-    uint32_t A = 0;    ///< width|endian spec for reads (width in the low
-                       ///< byte, bit 8 = big-endian); term index for
-                       ///< TermEnd*; attribute symbol for NtAttr /
-                       ///< NtAffine / ElemAttr*
-    uint32_t B = 0;    ///< DigitTerm table start (Digits)
-    Symbol Sym = 0;    ///< attribute / nonterminal / array symbol
-    Symbol Sym2 = 0;   ///< second nonterminal / attribute symbol
-    Symbol Attr2 = 0;  ///< attribute of Sym2 (NtAffine)
-    Symbol Sym3 = 0;   ///< index attribute (NtAffine / ElemAttr*)
-    int64_t Imm = 0;   ///< constant, addend, factor, read offset, or
-                       ///< DigitTerm count (Digits)
-    int64_t Imm2 = 0;  ///< second constant (AttrMulImm inner addend,
-                       ///< AttrInRange upper bound, Digits subtrahend)
-  };
-
-  /// One term of a Digits quick form: a fixed-width read at constant
-  /// offset \p Off, weighted by \p Weight after the shared subtrahend.
-  struct DigitTerm {
-    int64_t Off = 0;
-    int64_t Weight = 0;
+    bool ReadAtAttr = false;
+    uint32_t A = 0;   ///< read width|endian spec (width in the low byte,
+                      ///< bit 8 = big-endian), term index, or attribute
+    Symbol Sym = 0;   ///< attribute or nonterminal symbol
+    int64_t Mul = 1;  ///< factor on the load (unused by Const)
+    int64_t Imm = 0;  ///< addend
+    int64_t Off = 0;  ///< read offset, or its addend to attribute Sym
   };
 
 private:
   Expected<TreePtr> run(ByteSpan Input, RuleId Start) override;
 
-  std::vector<QuickExpr> Quick;       ///< indexed by lir::ExprId
-  std::vector<DigitTerm> QuickDigits; ///< side table for QuickExpr::Digits
+  std::vector<QuickExpr> Quick; ///< indexed by lir::ExprId
 };
 
 } // namespace ipg

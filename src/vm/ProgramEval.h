@@ -9,14 +9,19 @@
 /// The bytecode VM's evaluator policy for the parse skeleton
 /// (runtime/ParseSkeleton.h): it executes the compiled postfix programs
 /// of the lowered module instead of tree-walking source expressions.
-/// Every program is first tried as its pre-decoded QuickExpr
-/// (vm/BytecodeVM.h); only programs without a quick form run the
+/// Every program is first folded into its QuickExpr (vm/BytecodeVM.h),
+/// `Mul * load + Imm`: the decoder (classifyExpr) interprets the postfix
+/// program over abstract values of that form, folding `+ - *` wherever
+/// at most one operand carries a load and turning a fixed-width read at
+/// a constant or `attribute + constant` offset into the Read load. Any
+/// other opcode, a second load, or a stack deeper than the fold tracks
+/// leaves the program General, and only General programs run the
 /// computed-goto dispatch loop.
 ///
 /// This header holds the class and the small hot-path pieces that must
-/// inline into the skeleton's term execution sites. The decoder
-/// (classifyExpr), the remaining quick forms and the dispatch loop are
-/// defined in vm/BytecodeVM.cpp. Like ParseSkeleton.h, an implementation
+/// inline into the skeleton's term execution sites. The decoder, the
+/// outlined loads and the dispatch loop are defined in
+/// vm/BytecodeVM.cpp. Like ParseSkeleton.h, an implementation
 /// detail of the in-process engines.
 ///
 //===----------------------------------------------------------------------===//
@@ -44,17 +49,13 @@ class ProgramEval {
 public:
   using Frame = ParseScratch::Frame;
   using QE = BytecodeVM::QuickExpr;
-  using DigitTerm = BytecodeVM::DigitTerm;
 
-  ProgramEval(ParseScratch &St, const std::vector<QE> &Quick,
-              const std::vector<DigitTerm> &Digits)
-      : L(St.Lowered), St(St), Store(*St.Cur), Quick(Quick),
-        Digits(Digits) {}
+  ProgramEval(ParseScratch &St, const std::vector<QE> &Quick)
+      : L(St.Lowered), St(St), Store(*St.Cur), Quick(Quick) {}
 
-  /// Decodes every program of \p L into its closed quick form (General
-  /// when none applies), once per engine.
-  static void decode(const lir::Module &L, std::vector<QE> &Quick,
-                     std::vector<DigitTerm> &Digits);
+  /// Folds every program of \p L into its quick form (General when the
+  /// fold does not apply), once per engine.
+  static void decode(const lir::Module &L, std::vector<QE> &Quick);
 
   // The evaluator policy (see runtime/ParseSkeleton.h).
   bool interval(const Frame &F, const lir::IntervalL &Iv, int64_t &Lo,
@@ -77,47 +78,52 @@ private:
   ParseScratch &St;
   const TreeStore &Store;
   const std::vector<QE> &Quick;
-  const std::vector<DigitTerm> &Digits;
 
-  /// Executes one compiled program. Nearly every program a parse runs is
-  /// trivial, so the pre-decoded quick form (BytecodeVM::QuickExpr) is
-  /// tried first — a closed-form computation with no operand stack and no
-  /// dispatch. The three kinds that need at most a two-compare helper (a
-  /// constant, EOI +/- a constant, a term's recorded end +/- a constant —
-  /// between them almost every sequential-layout endpoint) are resolved
-  /// right here — this small body inlines into the hot term-execution
-  /// sites, so the most common endpoints cost no call — and everything
-  /// else goes through the outlined switch.
+  /// Executes one compiled program. Nearly every program a parse runs
+  /// folds to a quick form, so that is tried first: compute the load,
+  /// then `Mul * load + Imm`. The loads that need at most a two-compare
+  /// helper (none, EOI, a term's recorded end, and an attribute found in
+  /// the executing frame with no exists-scan binding active — between
+  /// them almost every sequential-layout endpoint) are resolved right
+  /// here; this small body inlines into the hot term-execution sites.
+  /// Everything else goes through the outlined evalQuickRest.
   bool evalProgram(const Frame &F, lir::ExprId Id, int64_t &Out) {
     const QE &Q = Quick[Id];
-    if (Q.K == QE::Const) {
+    int64_t V = 0;
+    switch (Q.K) {
+    case QE::Const:
       Out = Q.Imm;
       return true;
-    }
-    if (Q.K == QE::Eoi) {
-      Out = ipg_rt::wrapAdd(static_cast<int64_t>(F.Input.size()), Q.Imm);
-      return true;
-    }
-    if (Q.K == QE::TermEnd) {
-      if (!F.termEnd(Q.A, Out))
+    case QE::Eoi:
+      V = static_cast<int64_t>(F.Input.size());
+      break;
+    case QE::TermEnd:
+      if (!F.termEnd(Q.A, V))
         return false;
-      Out = ipg_rt::wrapAdd(Out, Q.Imm);
-      return true;
+      break;
+    case QE::Attr:
+      // A miss falls through to the full binds-then-lexical-chain lookup.
+      if (St.Binds.empty())
+        if (auto P = F.E.get(Q.Sym)) {
+          V = *P;
+          break;
+        }
+      return evalQuickRest(F, Q, Id, Out);
+    default:
+      return evalQuickRest(F, Q, Id, Out);
     }
-    // Attribute found in the executing frame with no exists-scan binding
-    // active — loadAttr's overwhelmingly common case. A miss falls
-    // through to the full binds-then-lexical-chain lookup.
-    if (Q.K == QE::Attr && St.Binds.empty()) {
-      if (auto V = F.E.get(Q.Sym)) {
-        Out = ipg_rt::wrapAdd(*V, Q.Imm);
-        return true;
-      }
-    }
-    return evalQuickRest(F, Q, Id, Out);
+    Out = affine(Q, V);
+    return true;
   }
 
-  /// The remaining quick kinds; General falls through to the dispatch
-  /// loop. Outlined so evalProgram stays small enough to inline.
+  /// The one evaluation formula of every quick form but Const.
+  static int64_t affine(const QE &Q, int64_t Load) {
+    return ipg_rt::wrapAdd(ipg_rt::wrapMul(Q.Mul, Load), Q.Imm);
+  }
+
+  /// The loads evalProgram does not inline (a full attribute lookup, a
+  /// sibling attribute, a read); General runs the dispatch loop.
+  /// Outlined so evalProgram stays small enough to inline.
   bool evalQuickRest(const Frame &F, const QE &Q, lir::ExprId Id,
                      int64_t &Out);
 
@@ -189,7 +195,7 @@ private:
     return true;
   }
 
-  /// Fixed-width read for the quick forms. \p Spec is the pre-resolved
+  /// Fixed-width read for the Read load. \p Spec is the pre-resolved
   /// width|endian encoding classifyExpr derived from the ReadKind
   /// (readKindSpec ran once at engine construction), so each case calls
   /// readScalar with compile-time width and endianness — the byte loop

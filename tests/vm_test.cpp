@@ -17,9 +17,11 @@
 /// bytecode VM itself is differential_test.cpp's job; this file adds
 /// targeted interpreter-vs-VM spot checks on the semantic corners the
 /// expression bytecode compiles specially (short-circuit logic,
-/// conditionals, exists-scans, guarded arithmetic), and runs the parse
-/// skeleton with both evaluator policies in lockstep over every format
-/// corpus and its corrupt-at-offset mutants.
+/// conditionals, exists-scans, guarded arithmetic, the quick-form fold's
+/// wrap edges), pins which programs the fold turns into the VM's closed
+/// quick form, and runs the parse skeleton with both evaluator policies
+/// in lockstep over every spot-check grammar and every format corpus
+/// and its corrupt-at-offset mutants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,6 +42,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <gtest/gtest.h>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -436,6 +439,110 @@ TEST(LirTest, VerifyRejectsMalformedGuards) {
 }
 
 //===----------------------------------------------------------------------===//
+// The two evaluator policies in lockstep. Both engines run one parse
+// skeleton (runtime/ParseSkeleton.h), so comparing their final trees
+// cannot tell the evaluators apart where backtracking hides a difference.
+// Here the skeleton runs with a policy that asks AstEval (the AST oracle)
+// and ProgramEval (the VM's compiled programs) every question and records
+// any difference in value or partiality at the evaluation itself.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct LockstepLog {
+  size_t Evaluations = 0;
+  size_t Disagreements = 0;
+  std::vector<std::string> First; ///< the first few, for the report
+};
+
+/// Answers with ProgramEval after checking it against AstEval.
+class LockstepEval {
+public:
+  using Frame = ParseScratch::Frame;
+
+  LockstepEval(AstEval Ast, ProgramEval Prog, LockstepLog &Log)
+      : Ast(Ast), Prog(Prog), Log(Log) {}
+
+  bool interval(const Frame &F, const lir::IntervalL &Iv, int64_t &Lo,
+                int64_t &Hi) {
+    int64_t ALo = 0, AHi = 0;
+    bool AOk = Ast.interval(F, Iv, ALo, AHi);
+    bool POk = Prog.interval(F, Iv, Lo, Hi);
+    check("interval", Iv.Lo, F, AOk, POk,
+          AOk && POk && (ALo != Lo || AHi != Hi));
+    return POk;
+  }
+  bool value(const Frame &F, const lir::TermL &T, int64_t &Out) {
+    int64_t A = 0;
+    bool AOk = Ast.value(F, T, A);
+    bool POk = Prog.value(F, T, Out);
+    check("value", T.E0, F, AOk, POk, AOk && POk && A != Out);
+    return POk;
+  }
+  bool bounds(const Frame &F, const lir::TermL &T, int64_t &From,
+              int64_t &To) {
+    int64_t AFrom = 0, ATo = 0;
+    bool AOk = Ast.bounds(F, T, AFrom, ATo);
+    bool POk = Prog.bounds(F, T, From, To);
+    check("bounds", T.E0, F, AOk, POk,
+          AOk && POk && (AFrom != From || ATo != To));
+    return POk;
+  }
+  bool cond(const Frame &F, const lir::ArmL &C, int64_t &Out) {
+    int64_t A = 0;
+    bool AOk = Ast.cond(F, C, A);
+    bool POk = Prog.cond(F, C, Out);
+    check("cond", C.Cond, F, AOk, POk, AOk && POk && A != Out);
+    return POk;
+  }
+
+private:
+  AstEval Ast;
+  ProgramEval Prog;
+  LockstepLog &Log;
+
+  void check(const char *What, lir::ExprId Id, const Frame &F, bool AOk,
+             bool POk, bool ValuesDiffer) {
+    ++Log.Evaluations;
+    if (AOk == POk && !ValuesDiffer)
+      return;
+    ++Log.Disagreements;
+    if (Log.First.size() < 5)
+      Log.First.push_back(std::string(What) + " (program " +
+                          std::to_string(Id) + ") at offset " +
+                          std::to_string(F.Input.absBase()) + ": ast " +
+                          (AOk ? "ok" : "partial") + ", vm " +
+                          (POk ? "ok" : "partial") +
+                          (ValuesDiffer ? ", values differ" : ""));
+  }
+};
+
+/// An in-process engine running the skeleton with LockstepEval.
+class LockstepEngine : public InProcessEngine {
+public:
+  LockstepEngine(const Grammar &G, const BlackboxRegistry *Blackboxes,
+                 EngineOptions Opts)
+      : InProcessEngine(G, Blackboxes, Opts) {
+    ProgramEval::decode(S->Lowered, Quick);
+  }
+  EngineKind kind() const override { return EngineKind::Vm; }
+
+  LockstepLog Log;
+
+private:
+  std::vector<BytecodeVM::QuickExpr> Quick;
+
+  Expected<TreePtr> run(ByteSpan Input, RuleId Start) override {
+    LockstepEval Ev(AstEval(*S->Cur), ProgramEval(*S, Quick), Log);
+    return ParseSkeleton<LockstepEval>(G, Opts, Stats, *S, Ev, HasDeadline,
+                                       Deadline)
+        .run(Input, Start);
+  }
+};
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
 // Interpreter-vs-VM spot checks on the corners the expression bytecode
 // compiles specially. The format-corpus equivalence lives in
 // differential_test.cpp; these stay small and targeted so a divergence
@@ -445,7 +552,9 @@ TEST(LirTest, VerifyRejectsMalformedGuards) {
 namespace {
 
 /// Parses \p In with both in-process engines and expects identical
-/// verdicts; on acceptance, identical canonical trees and counters.
+/// verdicts; on acceptance, identical canonical trees and counters. A
+/// third parse runs the two evaluators in lockstep, so every evaluation
+/// is compared, not only the final tree.
 void expectVmAgrees(const char *Src, const std::vector<uint8_t> &In) {
   Grammar G = load(Src);
   auto IE = makeEngine(EngineKind::Interp, G);
@@ -466,6 +575,22 @@ void expectVmAgrees(const char *Src, const std::vector<uint8_t> &In) {
   }
   EXPECT_EQ((*IE)->stats().TermsExecuted, (*VE)->stats().TermsExecuted);
   EXPECT_EQ((*IE)->stats().NodesCreated, (*VE)->stats().NodesCreated);
+
+  LockstepEngine Lockstep(G, nullptr, EngineOptions());
+  auto RL = Lockstep.parse(ByteSpan::of(In));
+  EXPECT_EQ(static_cast<bool>(RL), static_cast<bool>(RV));
+  for (const std::string &D : Lockstep.Log.First)
+    ADD_FAILURE() << D;
+  EXPECT_GT(Lockstep.Log.Evaluations, 0u);
+  EXPECT_EQ(Lockstep.Log.Disagreements, 0u);
+}
+
+/// Whether the interpreter accepts \p In: expectVmAgrees compares the
+/// engines, this pins which way they both went.
+bool interpAccepts(const char *Src, const std::vector<uint8_t> &In) {
+  Grammar G = load(Src);
+  auto E = makeEngine(EngineKind::Interp, G);
+  return E && static_cast<bool>((*E)->parse(ByteSpan::of(In)));
 }
 
 std::vector<uint8_t> bytes(const char *S) {
@@ -559,110 +684,101 @@ TEST(VmTest, BtoiReadsAgree) {
   expectVmAgrees(Src, In);
 }
 
+TEST(VmTest, AffineFoldWrapEdgesAgree) {
+  // Subtracting INT64_MIN (its negation wraps to itself) and a multiply
+  // that wraps to 0 yet must still load `a`; the checks recompute both
+  // through the dispatch loop.
+  const char *Wrap = R"(
+    S -> "x"[0, 1] {a = u8(0)} {p = a - (0 - 9223372036854775807 - 1)}
+         {q = a * 4611686018427387904 * 4}
+         check(p = a + 9223372036854775807 + 1) check(q = 0) ;
+  )";
+  expectVmAgrees(Wrap, bytes("x"));
+  EXPECT_TRUE(interpAccepts(Wrap, bytes("x")));
+
+  // A read at a negative offset is partial: alternative 1 fails.
+  const char *NegRead = R"(
+    S -> "x"[0, 1] {a = u8(0)} {r = u8(a - 200)}
+       / "x"[0, 1] {ok = 1} ;
+  )";
+  expectVmAgrees(NegRead, bytes("x"));
+  EXPECT_TRUE(interpAccepts(NegRead, bytes("x")));
+
+  // The else-branch of an exists-scan runs without the loop binding, so
+  // the offset attribute of its read is absent: alternative 1 fails and
+  // alternative 2 must accept.
+  const char *AbsentOff = R"(
+    S -> for i = 0 to 1 do H[0, 1]
+         {s = (exists j . H(j).v = 9 ? 0 : u8(j + 1))}
+       / "x"[0, 1] {ok = 1} ;
+    H -> "x"[0, 1] {v = 1} ;
+  )";
+  expectVmAgrees(AbsentOff, bytes("xq"));
+  EXPECT_TRUE(interpAccepts(AbsentOff, bytes("xq")));
+}
+
 //===----------------------------------------------------------------------===//
-// The two evaluator policies in lockstep. Both engines run one parse
-// skeleton (runtime/ParseSkeleton.h), so comparing their final trees
-// cannot tell the evaluators apart where backtracking hides a difference.
-// Here the skeleton runs with a policy that asks AstEval (the AST oracle)
-// and ProgramEval (the VM's compiled programs) every question and records
-// any difference in value or partiality at the evaluation itself.
+// The quick-form fold. Every equivalence test above would still pass if
+// every program fell to General; this pins that the one-load affine
+// programs really take the closed form, and that the rest do not.
 //===----------------------------------------------------------------------===//
 
-namespace {
+TEST(VmTest, QuickFormFoldsOneLoadAffinePrograms) {
+  using QE = BytecodeVM::QuickExpr;
+  Grammar G = load(R"(
+    S -> "xy"[0, 2] "ab" {a = u8(0)} {b = u8(1)}
+         {f1 = EOI - 4} {f2 = 3 * (a + 5) - 7} {f3 = 5 - a}
+         {f4 = u32le(a + 1)}
+         {g1 = a + b} {g2 = a * b} {g3 = (a = 1)} {g4 = EOI / 2}
+         {g5 = (a > 0 && b < 9)} {g6 = u8(EOI - 1)} ;
+  )");
+  lir::Module M = lir::lower(G);
+  std::vector<QE> Quick;
+  ProgramEval::decode(M, Quick);
 
-struct LockstepLog {
-  size_t Evaluations = 0;
-  size_t Disagreements = 0;
-  std::vector<std::string> First; ///< the first few, for the report
-};
-
-/// Answers with ProgramEval after checking it against AstEval.
-class LockstepEval {
-public:
-  using Frame = ParseScratch::Frame;
-
-  LockstepEval(AstEval Ast, ProgramEval Prog, LockstepLog &Log)
-      : Ast(Ast), Prog(Prog), Log(Log) {}
-
-  bool interval(const Frame &F, const lir::IntervalL &Iv, int64_t &Lo,
-                int64_t &Hi) {
-    int64_t ALo = 0, AHi = 0;
-    bool AOk = Ast.interval(F, Iv, ALo, AHi);
-    bool POk = Prog.interval(F, Iv, Lo, Hi);
-    check("interval", Iv.Lo, F, AOk, POk,
-          AOk && POk && (ALo != Lo || AHi != Hi));
-    return POk;
+  std::map<std::string, QE> ByAttr; // each definition's folded value
+  const lir::TermL *Ab = nullptr;
+  for (const lir::TermL &T : M.Rules[M.Start].Alts[0].Exec) {
+    if (T.Op == lir::TermOp::SetAttr)
+      ByAttr[std::string(M.nameOf(T.Sym))] = Quick[T.E0];
+    if (T.Op == lir::TermOp::MatchBytes && T.TermIdx == 1)
+      Ab = &T;
   }
-  bool value(const Frame &F, const lir::TermL &T, int64_t &Out) {
-    int64_t A = 0;
-    bool AOk = Ast.value(F, T, A);
-    bool POk = Prog.value(F, T, Out);
-    check("value", T.E0, F, AOk, POk, AOk && POk && A != Out);
-    return POk;
-  }
-  bool bounds(const Frame &F, const lir::TermL &T, int64_t &From,
-              int64_t &To) {
-    int64_t AFrom = 0, ATo = 0;
-    bool AOk = Ast.bounds(F, T, AFrom, ATo);
-    bool POk = Prog.bounds(F, T, From, To);
-    check("bounds", T.E0, F, AOk, POk,
-          AOk && POk && (AFrom != From || ATo != To));
-    return POk;
-  }
-  bool cond(const Frame &F, const lir::ArmL &C, int64_t &Out) {
-    int64_t A = 0;
-    bool AOk = Ast.cond(F, C, A);
-    bool POk = Prog.cond(F, C, Out);
-    check("cond", C.Cond, F, AOk, POk, AOk && POk && A != Out);
-    return POk;
-  }
+  auto expectFold = [](const QE &Q, QE::Kind K, int64_t Mul, int64_t Imm) {
+    EXPECT_EQ(Q.K, K);
+    EXPECT_EQ(Q.Mul, Mul);
+    EXPECT_EQ(Q.Imm, Imm);
+  };
+  expectFold(ByAttr["f1"], QE::Eoi, 1, -4);
+  expectFold(ByAttr["f2"], QE::Attr, 3, 8);
+  expectFold(ByAttr["f3"], QE::Attr, -1, 5);
 
-private:
-  AstEval Ast;
-  ProgramEval Prog;
-  LockstepLog &Log;
+  // u32le(a + 1) and u8(0): the read is the load, its offset folded in.
+  const QE &F4 = ByAttr["f4"];
+  expectFold(F4, QE::Read, 1, 0);
+  EXPECT_TRUE(F4.ReadAtAttr);
+  EXPECT_EQ(F4.Off, 1);
+  EXPECT_EQ(F4.A, 4u);
+  const QE &A = ByAttr["a"];
+  expectFold(A, QE::Read, 1, 0);
+  EXPECT_FALSE(A.ReadAtAttr);
+  EXPECT_EQ(A.Off, 0);
+  EXPECT_EQ(A.A, 1u);
 
-  void check(const char *What, lir::ExprId Id, const Frame &F, bool AOk,
-             bool POk, bool ValuesDiffer) {
-    ++Log.Evaluations;
-    if (AOk == POk && !ValuesDiffer)
-      return;
-    ++Log.Disagreements;
-    if (Log.First.size() < 5)
-      Log.First.push_back(std::string(What) + " (program " +
-                          std::to_string(Id) + ") at offset " +
-                          std::to_string(F.Input.absBase()) + ": ast " +
-                          (AOk ? "ok" : "partial") + ", vm " +
-                          (POk ? "ok" : "partial") +
-                          (ValuesDiffer ? ", values differ" : ""));
-  }
-};
+  // "ab" has the implicit interval [end of term 0, end of term 0 + 2].
+  ASSERT_NE(Ab, nullptr);
+  expectFold(Quick[Ab->Iv.Hi], QE::TermEnd, 1, 2);
+  EXPECT_EQ(Quick[Ab->Iv.Hi].A, 0u);
 
-/// An in-process engine running the skeleton with LockstepEval.
-class LockstepEngine : public InProcessEngine {
-public:
-  LockstepEngine(const Grammar &G, const BlackboxRegistry *Blackboxes,
-                 EngineOptions Opts)
-      : InProcessEngine(G, Blackboxes, Opts) {
-    ProgramEval::decode(S->Lowered, Quick, Digits);
-  }
-  EngineKind kind() const override { return EngineKind::Vm; }
+  // Two loads, a comparison, a guarded operator, jumps, and a read whose
+  // offset is not constant or attribute + constant.
+  for (const char *Name : {"g1", "g2", "g3", "g4", "g5", "g6"})
+    EXPECT_EQ(ByAttr[Name].K, QE::General) << Name;
+}
 
-  LockstepLog Log;
-
-private:
-  std::vector<BytecodeVM::QuickExpr> Quick;
-  std::vector<BytecodeVM::DigitTerm> Digits;
-
-  Expected<TreePtr> run(ByteSpan Input, RuleId Start) override {
-    LockstepEval Ev(AstEval(*S->Cur), ProgramEval(*S, Quick, Digits), Log);
-    return ParseSkeleton<LockstepEval>(G, Opts, Stats, *S, Ev, HasDeadline,
-                                       Deadline)
-        .run(Input, Start);
-  }
-};
-
-} // namespace
+//===----------------------------------------------------------------------===//
+// The lockstep run over every format corpus and its mutants.
+//===----------------------------------------------------------------------===//
 
 TEST(VmTest, EvaluatorsAgreeInLockstepOnEveryCorpusAndMutant) {
   size_t Parses = 0, Evaluations = 0, Disagreements = 0;
