@@ -1284,8 +1284,7 @@ Expected<std::string> Emitter::run() {
          "  /// same knob the interpreter honors.\n"
          "  void setDepthLimit(long long Limit) { C.setDepthLimit(Limit); }\n"
          "  bool parse(const uint8_t *Data, size_t Len, NodePtr &Out) {\n"
-         "    C.beginParse(Data);\n"
-         "    unsigned Root = 0;\n" +
+         "    C.beginParse(Data);\n" +
          (StartIsStep
               ? "    if (!ipg_rt::runMachine(C, StepFns, RuleNameIds, " +
                     std::to_string(Start) + "u, 0, Len, Root)) {\n"
@@ -1303,6 +1302,12 @@ Expected<std::string> Emitter::run() {
                                : "")) +
          "    Out = C.node(Root);\n"
          "    return true;\n"
+         "  }\n"
+         "  /// Hands the tree of the last successful parse() to \\p Fn,\n"
+         "  /// one record per reachable object, children first\n"
+         "  /// (ipg_rt::exportTree) — how a host copies the tree out.\n"
+         "  void exportTree(ipg_rt::ExportFn Fn, void *User) {\n"
+         "    ipg_rt::exportTree(C, Root, Fn, User);\n"
          "  }\n"
          "  /// Binds the blackbox parser named \\p Name (as spelled in\n"
          "  /// the grammar) for every later parse(). Returns false for\n"
@@ -1358,6 +1363,7 @@ Expected<std::string> Emitter::run() {
          "  long long failOff() const { return C.failOff(); }\n"
          "private:\n"
          "  ipg_rt::Ctx C;\n"
+         "  unsigned Root = 0; ///< root object id of the last parse\n"
          "};\n\n"
          "/// Canonical multi-line rendering (the differential-test "
          "format).\n"

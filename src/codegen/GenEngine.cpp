@@ -13,12 +13,13 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <new>
 #include <sstream>
+#include <system_error>
 
 #include <dlfcn.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 using namespace ipg;
@@ -51,17 +52,13 @@ std::string abiEpilogue(bool RegisterBlackboxes) {
        "  static_cast<ipgmod::Parser *>(P)->setDepthLimit(Limit);\n"
        "}\n"
        "int ipg_mod_parse(void *P, const unsigned char *Data,\n"
-       "                  unsigned long long Len, const void **Root) {\n"
+       "                  unsigned long long Len) {\n"
        "  ipgmod::NodePtr Out = nullptr;\n"
-       "  if (!static_cast<ipgmod::Parser *>(P)->parse(\n"
-       "          Data, static_cast<size_t>(Len), Out))\n"
-       "    return 0;\n"
-       "  *Root = Out;\n"
-       "  return 1;\n"
+       "  return static_cast<ipgmod::Parser *>(P)->parse(\n"
+       "             Data, static_cast<size_t>(Len), Out) ? 1 : 0;\n"
        "}\n"
-       "void ipg_mod_visit(const void *Root, const void *Vis) {\n"
-       "  ipg_rt::visitTree(static_cast<const ipg_rt::Node *>(Root),\n"
-       "                    *static_cast<const ipg_rt::TreeVisitorC *>(Vis));\n"
+       "void ipg_mod_export(void *P, ipg_rt::ExportFn Fn, void *User) {\n"
+       "  static_cast<ipgmod::Parser *>(P)->exportTree(Fn, User);\n"
        "}\n"
        "void ipg_mod_stats(void *P, unsigned long long *Out) {\n"
        "  auto *Q = static_cast<ipgmod::Parser *>(P);\n"
@@ -106,6 +103,17 @@ std::string readFileTrunc(const std::string &Path, size_t Max = 4000) {
 
 } // namespace
 
+std::string ipg::shellQuote(const std::string &S) {
+  std::string Out = "'";
+  for (char C : S) {
+    if (C == '\'')
+      Out += "'\\''"; // close, escaped quote, reopen
+    else
+      Out += C;
+  }
+  return Out + "'";
+}
+
 bool GenModule::hostCompilerAvailable() {
   static int Avail = -1;
   if (Avail < 0)
@@ -136,7 +144,8 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
   } else {
     M->Dir = Config.WorkDir;
   }
-  ::mkdir(M->Dir.c_str(), 0755); // may already exist; compile fails loudly
+  std::error_code Ec; // may already exist; the compile fails loudly
+  std::filesystem::create_directory(M->Dir, Ec);
 
   std::string CppPath = M->Dir + "/parser.cpp";
   M->SoPath = M->Dir + "/libparser.so";
@@ -158,10 +167,11 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
 #endif
   std::string LogPath = M->Dir + "/compile.log";
   std::string Cmd = "c++ -std=" + Config.Std + " -O2 -fPIC -shared" + San +
-                    " -o " + M->SoPath + " " + CppPath;
+                    " -o " + shellQuote(M->SoPath) + " " +
+                    shellQuote(CppPath);
   if (!Config.ExtraCompileArgs.empty())
     Cmd += " " + Config.ExtraCompileArgs;
-  Cmd += " > " + LogPath + " 2>&1";
+  Cmd += " > " + shellQuote(LogPath) + " 2>&1";
   if (std::system(Cmd.c_str()) != 0)
     return Ret::failure("generated-parser compile failed:\n" + Cmd + "\n" +
                         readFileTrunc(LogPath));
@@ -177,19 +187,18 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
   M->Destroy = reinterpret_cast<void (*)(void *)>(Sym("ipg_mod_destroy"));
   M->SetDepthLimit = reinterpret_cast<void (*)(void *, long long)>(
       Sym("ipg_mod_set_depth_limit"));
-  M->Parse =
-      reinterpret_cast<int (*)(void *, const unsigned char *,
-                               unsigned long long, const void **)>(
-          Sym("ipg_mod_parse"));
-  M->Visit = reinterpret_cast<void (*)(const void *, const void *)>(
-      Sym("ipg_mod_visit"));
+  M->Parse = reinterpret_cast<int (*)(void *, const unsigned char *,
+                                      unsigned long long)>(
+      Sym("ipg_mod_parse"));
+  M->Export = reinterpret_cast<void (*)(void *, ExportFn, void *)>(
+      Sym("ipg_mod_export"));
   M->Stats = reinterpret_cast<void (*)(void *, unsigned long long *)>(
       Sym("ipg_mod_stats"));
   M->NumNames = reinterpret_cast<unsigned (*)()>(Sym("ipg_mod_num_names"));
   M->NameOf =
       reinterpret_cast<const char *(*)(unsigned)>(Sym("ipg_mod_name"));
   if (!M->Create || !M->Destroy || !M->SetDepthLimit || !M->Parse ||
-      !M->Visit || !M->Stats || !M->NumNames || !M->NameOf)
+      !M->Export || !M->Stats || !M->NumNames || !M->NameOf)
     return Ret::failure("module is missing an ipg_mod_ entry point");
   return Ret(std::move(M));
 }
@@ -197,26 +206,15 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
 GenModule::~GenModule() {
   if (Handle)
     ::dlclose(Handle);
-  if (OwnsDir && !Dir.empty())
-    std::system(("rm -rf " + Dir).c_str());
+  if (OwnsDir && !Dir.empty()) {
+    std::error_code Ec; // best effort: a leftover dir is not worth a throw
+    std::filesystem::remove_all(Dir, Ec);
+  }
 }
 
 //===----------------------------------------------------------------------===//
-// GenEngine: per-thread instance + visitor tree rebuild
+// GenEngine: per-thread instance + single-pass tree export
 //===----------------------------------------------------------------------===//
-
-/// One open node/array during the visitor rebuild. The inner vectors
-/// keep their capacity when the frame is reused at the same depth.
-struct GenEngine::Frame {
-  Symbol Name = InvalidSymbol;
-  RuleId Rule = InvalidRuleId;
-  int64_t Shift = 0;
-  bool Blackbox = false;
-  bool IsArray = false;
-  std::vector<EnvSlot> Slots;
-  std::vector<uint32_t> Kids;
-  std::vector<uint32_t> KidTerms;
-};
 
 GenEngine::GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G)
     : Module(std::move(Module)), G(G) {
@@ -228,8 +226,12 @@ GenEngine::GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G)
   // fail the first conversion that touches it.
   unsigned N = this->Module->NumNames();
   IdToSym.reserve(N);
-  for (unsigned I = 0; I < N; ++I)
-    IdToSym.push_back(G.interner().lookup(this->Module->NameOf(I)));
+  IdToRule.reserve(N);
+  for (unsigned I = 0; I < N; ++I) {
+    Symbol S = G.interner().lookup(this->Module->NameOf(I));
+    IdToSym.push_back(S);
+    IdToRule.push_back(S == InvalidSymbol ? InvalidRuleId : G.findGlobal(S));
+  }
 }
 
 GenEngine::~GenEngine() {
@@ -260,92 +262,67 @@ bool GenEngine::adoptStore(TreeStore *Store) {
   return true;
 }
 
-GenEngine::Frame &GenEngine::pushFrame() {
-  if (Depth == Frames.size())
-    Frames.emplace_back();
-  Frame &F = Frames[Depth++];
-  F.Slots.clear();
-  F.Kids.clear();
-  F.KidTerms.clear();
-  F.Shift = 0;
-  F.Blackbox = false;
-  F.IsArray = false;
-  return F;
-}
-
-void GenEngine::appendChild(uint32_t Id) {
-  if (Depth == 0) {
-    RootId = Id;
-    HaveRoot = true;
-    return;
+void GenEngine::onExport(void *User, const ipg_rt::ExportObjC *Obj) {
+  // Called back through the module's C ABI: no exception may cross it.
+  GenEngine *E = static_cast<GenEngine *>(User);
+  try {
+    E->build(*Obj);
+  } catch (const std::bad_alloc &) {
+    E->ConvError = "out of memory";
   }
-  Frame &F = Frames[Depth - 1];
-  // Term indices are sequential child ordinals: the module tree does not
-  // carry grammar term positions, and nothing that reads a converted
-  // tree (canonical dump, attribute queries) consults them.
-  F.KidTerms.push_back(static_cast<uint32_t>(F.Kids.size()));
-  F.Kids.push_back(Id);
 }
 
-void GenEngine::cbEndNode(void *User) {
-  GenEngine *E = static_cast<GenEngine *>(User);
-  if (!E->ConvError.empty())
+void GenEngine::build(const ipg_rt::ExportObjC &O) {
+  if (ConvError)
     return;
-  Frame &F = E->Frames[--E->Depth];
-  uint32_t Id = E->Cur->makeNodeFromSlots(
-      F.Name, F.Rule, F.Slots.data(), static_cast<uint32_t>(F.Slots.size()),
-      F.Kids.data(), F.KidTerms.data(), static_cast<uint32_t>(F.Kids.size()));
-  if (F.Shift != 0)
-    Id = E->Cur->makeShifted(Id, F.Shift, E->G.symStart(), E->G.symEnd());
-  E->appendChild(Id);
-}
-
-void GenEngine::cbBeginArray(void *User, unsigned ElemNameId,
-                             unsigned NumElems) {
-  GenEngine *E = static_cast<GenEngine *>(User);
-  if (!E->ConvError.empty())
-    return;
-  bool ParentBb = E->Depth > 0 && E->Frames[E->Depth - 1].Blackbox;
-  Frame &F = E->pushFrame();
-  F.IsArray = true;
-  F.Blackbox = ParentBb;
-  F.Kids.reserve(NumElems);
-  Symbol S = ElemNameId < E->IdToSym.size() ? E->IdToSym[ElemNameId]
-                                            : InvalidSymbol;
-  if (S == InvalidSymbol) {
-    E->ConvError = "module name id not in the grammar interner";
-    return;
-  }
-  F.Name = S;
-}
-
-void GenEngine::cbEndArray(void *User) {
-  GenEngine *E = static_cast<GenEngine *>(User);
-  if (!E->ConvError.empty())
-    return;
-  Frame &F = E->Frames[--E->Depth];
-  uint32_t Id = E->Cur->makeArray(F.Name, F.Kids.data(),
-                                  static_cast<uint32_t>(F.Kids.size()));
-  E->appendChild(Id);
-}
-
-void GenEngine::cbLeaf(void *User, const unsigned char *Data,
-                       unsigned long long Len, long long Off, int Opaque) {
-  GenEngine *E = static_cast<GenEngine *>(User);
-  if (!E->ConvError.empty())
-    return;
-  bool UnderBb = E->Depth > 0 && E->Frames[E->Depth - 1].Blackbox;
   uint32_t Id;
-  if (UnderBb) {
-    // Blackbox-decoded bytes live in the module's arena, which dies with
-    // that Parser's next parse — copy them into the host store.
-    Id = E->Cur->makeLeafCopy(Data, static_cast<size_t>(Len), Off);
-  } else {
+  if (O.Kind == ipg_rt::Node::KLeaf) {
+    // A blackbox's decoded bytes live in the module's arena, which dies
+    // with that Parser's next parse — copy them into the host store.
     // Ordinary leaves alias the input buffer the caller passed to
     // parse(): the module was handed the very same pointer.
-    Id = E->Cur->makeLeaf(Data, static_cast<size_t>(Len), Off, Opaque != 0);
+    size_t Len = static_cast<size_t>(O.Len);
+    Id = O.Bb ? Cur->makeLeafCopy(O.Data, Len, O.Off)
+              : Cur->makeLeaf(O.Data, Len, O.Off, O.Opaque != 0);
+  } else if (O.ViewOf != ipg_rt::Node::NotAView) {
+    // The base precedes the view in the export order, so its host node
+    // exists; the host view shares its slots and children likewise.
+    Id = Cur->makeShifted(HostId[O.ViewOf], O.Shift, G.symStart(),
+                          G.symEnd());
+  } else {
+    Symbol Name = O.NameId < IdToSym.size() ? IdToSym[O.NameId]
+                                             : InvalidSymbol;
+    if (Name == InvalidSymbol) {
+      ConvError = "module name id not in the grammar interner";
+      return;
+    }
+    KidScratch.resize(O.NumKids);
+    for (unsigned I = 0; I < O.NumKids; ++I)
+      KidScratch[I] = HostId[O.KidIds[I]];
+    if (O.Kind == ipg_rt::Node::KArray) {
+      Id = Cur->makeArray(Name, KidScratch.data(), O.NumKids);
+    } else {
+      SlotScratch.resize(O.NumSlots);
+      for (unsigned I = 0; I < O.NumSlots; ++I) {
+        unsigned K = O.Slots[I].Id;
+        Symbol S = K < IdToSym.size() ? IdToSym[K] : InvalidSymbol;
+        if (S == InvalidSymbol) {
+          ConvError = "module attribute id not in the grammar interner";
+          return;
+        }
+        SlotScratch[I] = EnvSlot{S, O.Slots[I].V};
+      }
+      while (Ordinals.size() < O.NumKids)
+        Ordinals.push_back(static_cast<uint32_t>(Ordinals.size()));
+      Id = Cur->makeNodeFromSlots(Name, IdToRule[O.NameId],
+                                  SlotScratch.data(), O.NumSlots,
+                                  KidScratch.data(), Ordinals.data(),
+                                  O.NumKids);
+    }
   }
-  E->appendChild(Id);
+  HostId[O.Id] = Id;
+  RootId = Id; // the root is the last record
+  HaveRoot = true;
 }
 
 Expected<TreePtr> GenEngine::parse(ByteSpan In) {
@@ -363,11 +340,9 @@ Expected<TreePtr> GenEngine::parse(ByteSpan In) {
   } else {
     Cur = new TreeStore(Pool);
   }
-  Input = In;
 
-  const void *Root = nullptr;
   int Ok = Module->Parse(Parser, In.data(),
-                         static_cast<unsigned long long>(In.size()), &Root);
+                         static_cast<unsigned long long>(In.size()));
   unsigned long long S[7] = {0, 0, 0, 0, 0, 0, 0};
   Module->Stats(Parser, S);
   Stats.NodesCreated = static_cast<size_t>(S[0]);
@@ -390,49 +365,14 @@ Expected<TreePtr> GenEngine::parse(ByteSpan In) {
         "generated parser rejected the input");
   }
 
-  Depth = 0;
+  // Slot 3 is the module's object count: every exported id is below it.
+  HostId.resize(static_cast<size_t>(S[3]));
+  ConvError = nullptr;
   HaveRoot = false;
-  ConvError.clear();
-
-  ipg_rt::TreeVisitorC V;
-  V.User = this;
-  V.BeginNode = [](void *U, unsigned NameId, long long Shift, int IsBb,
-                   const ipg_rt::AttrSlot *Slots, unsigned NumSlots) {
-    GenEngine *E = static_cast<GenEngine *>(U);
-    if (!E->ConvError.empty())
-      return;
-    Frame &F = E->pushFrame();
-    Symbol Nm = NameId < E->IdToSym.size() ? E->IdToSym[NameId]
-                                           : InvalidSymbol;
-    if (Nm == InvalidSymbol) {
-      E->ConvError = "module name id not in the grammar interner";
-      return;
-    }
-    F.Name = Nm;
-    F.Rule = E->G.findGlobal(Nm); // InvalidRuleId for local rules
-    F.Shift = Shift;
-    F.Blackbox = IsBb != 0;
-    F.Slots.reserve(NumSlots);
-    for (unsigned I = 0; I < NumSlots; ++I) {
-      Symbol K = Slots[I].Id < E->IdToSym.size() ? E->IdToSym[Slots[I].Id]
-                                                 : InvalidSymbol;
-      if (K == InvalidSymbol) {
-        E->ConvError = "module attribute id not in the grammar interner";
-        return;
-      }
-      F.Slots.push_back(EnvSlot{K, Slots[I].V});
-    }
-  };
-  V.EndNode = &GenEngine::cbEndNode;
-  V.BeginArray = &GenEngine::cbBeginArray;
-  V.EndArray = &GenEngine::cbEndArray;
-  V.Leaf = &GenEngine::cbLeaf;
-
-  Module->Visit(Root, &V);
-
-  if (!ConvError.empty())
-    return Expected<TreePtr>::failure("tree conversion failed: " +
-                                      ConvError);
+  Module->Export(Parser, &GenEngine::onExport, this);
+  if (ConvError)
+    return Expected<TreePtr>::failure(
+        std::string("tree conversion failed: ") + ConvError);
   if (!HaveRoot)
     return Expected<TreePtr>::failure(
         "tree conversion produced no root node");

@@ -26,17 +26,19 @@
 ///
 /// Tree transfer: the module builds ipg_rt::Node trees inside its own
 /// arena, which is only valid until that Parser's next parse(). parse()
-/// therefore walks the module tree through ipg_rt::TreeVisitorC (a plain
-/// C callback table both sides compile from the same embedded
-/// GenRuntime.h text) and rebuilds it as a genuine ipg::TreeStore tree on
-/// the host side: ordinary leaves alias the caller's input bytes,
-/// blackbox-decoded leaves are copied (their backing arena dies with the
-/// next parse), and nonzero shifts become host lazy shifted views.
-/// Shared subtrees (memo hits) are rebuilt once per occurrence — tree
-/// SIZE can exceed the module's frozen-node count, but every read-level
-/// view (canonical dump, attribute queries) is identical. The rebuilt
-/// tree participates in the normal TreeStore recycling/FrozenTree
-/// protocol, so steady-state GenEngine parses stay allocation-free too.
+/// therefore asks the module to export the tree (ipg_rt::exportTree, in
+/// the embedded GenRuntime.h text both sides compile): one standard-
+/// layout ipg_rt::ExportObjC record per object reachable from the root,
+/// each exactly once, children before parents. GenEngine builds each
+/// record into a genuine ipg::TreeStore tree in that single forward pass,
+/// through a reused module-id -> host-id map: ordinary leaves alias the
+/// caller's input bytes, blackbox-decoded leaves are copied (their
+/// backing arena dies with the next parse), and shifted views become
+/// host lazy views over their base's host node. Memo-shared subtrees
+/// therefore stay shared — the host tree has the module's shape, object
+/// for object. The rebuilt tree participates in the normal TreeStore
+/// recycling/FrozenTree protocol, and every export buffer on both sides
+/// is reused, so steady-state GenEngine parses allocate nothing.
 ///
 /// Stats mapping: NodesCreated/MemoHits/MemoMisses/PeakDepth come from
 /// the module counters (same meaning as the interpreter's — PeakDepth is
@@ -47,10 +49,11 @@
 ///
 /// Converted nodes carry the grammar's global RuleId when the node's
 /// name resolves to a global rule and InvalidRuleId otherwise (local
-/// rules); canonical dumps and attribute reads never consult the rule
-/// id, but Printer-based re-serialization of GenEngine trees is not
-/// supported — print through the interpreter or the module's own
-/// printTree.
+/// rules), and sequential child ordinals as their child term indices
+/// (the module tree records no grammar term positions); canonical dumps
+/// and attribute reads consult neither, but Printer-based
+/// re-serialization of GenEngine trees is not supported — print through
+/// the interpreter or the module's own printTree.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +69,10 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+namespace ipg_rt {
+struct ExportObjC; // support/GenRuntime.h
+} // namespace ipg_rt
 
 namespace ipg {
 
@@ -83,7 +90,8 @@ struct GenModuleConfig {
   bool RegisterBlackboxes = false;
   /// Extra arguments appended verbatim to the compile command line
   /// (include dirs and decoder translation units for the bridge, e.g.
-  /// "-I<src> <src>/formats/MiniZlib.cpp").
+  /// "-I<src> <src>/formats/MiniZlib.cpp"). It is shell text: pass every
+  /// path through shellQuote.
   std::string ExtraCompileArgs;
   /// -std= level for the child compile. Generated parsers are C++17 on
   /// their own; bridges that pull in library headers need c++20.
@@ -93,6 +101,10 @@ struct GenModuleConfig {
   /// module dies; a caller-provided directory is kept.
   std::string WorkDir;
 };
+
+/// \p S as one single-quoted POSIX shell word, whatever characters it
+/// holds (spaces, quotes, `$`).
+std::string shellQuote(const std::string &S);
 
 /// A compiled-and-loaded generated parser: shared, immutable, and
 /// thread-safe after compile() returns. Create GenEngine instances (one
@@ -119,16 +131,15 @@ private:
   GenModule() = default;
   friend class GenEngine;
 
-  // `ipg_mod_` ABI, resolved at load. Root pointers are opaque
-  // (ipg_rt::Node inside the module); visitors are the host's
-  // ipg_rt::TreeVisitorC — identical layout because both sides compile
-  // the same GenRuntime.h text.
+  // `ipg_mod_` ABI, resolved at load. Export records arrive as the
+  // host's ipg_rt::ExportObjC — identical layout because both sides
+  // compile the same GenRuntime.h text.
+  using ExportFn = void (*)(void *, const ipg_rt::ExportObjC *);
   void *(*Create)() = nullptr;
   void (*Destroy)(void *) = nullptr;
   void (*SetDepthLimit)(void *, long long) = nullptr;
-  int (*Parse)(void *, const unsigned char *, unsigned long long,
-               const void **) = nullptr;
-  void (*Visit)(const void *, const void *) = nullptr;
+  int (*Parse)(void *, const unsigned char *, unsigned long long) = nullptr;
+  void (*Export)(void *, ExportFn, void *) = nullptr;
   void (*Stats)(void *, unsigned long long *) = nullptr;
   unsigned (*NumNames)() = nullptr;
   const char *(*NameOf)(unsigned) = nullptr;
@@ -156,8 +167,6 @@ public:
   bool adoptStore(TreeStore *Store) override;
 
 private:
-  struct Frame;
-
   std::shared_ptr<GenModule> Module;
   const Grammar &G;
   EngineStats Stats;
@@ -165,36 +174,32 @@ private:
 
   /// Module NameId -> host Symbol, resolved once through the grammar's
   /// interner (every emitted name originates from it, so lookups cannot
-  /// miss; a miss is a build bug and fails the constructor-following
-  /// first parse loudly).
+  /// miss; a miss is a build bug and fails the first conversion that
+  /// touches the name loudly), and -> the global rule of that name
+  /// (InvalidRuleId for attribute names and local rules).
   std::vector<Symbol> IdToSym;
+  std::vector<RuleId> IdToRule;
 
   // Host-side conversion store with the same recycling discipline as
   // InterpState: Cur is the store being built into, Pool the recycler
   // dying TreePtrs park in.
   TreeStore *Cur = nullptr;
   TreeStore::Recycler *Pool = nullptr;
-  bool DestroyedStore = false;
 
-  /// Reused frame stack for the visitor rebuild (capacity persists
-  /// across parses — no steady-state allocation).
-  std::vector<Frame> Frames;
-  size_t Depth = 0;
-  uint32_t RootId = 0;
+  // Export scratch, reused across parses (capacity persists — no
+  // steady-state allocation): module object id -> host node id, and the
+  // translated slots / children of the record being built. Ordinals
+  // holds 0, 1, 2, ... — the child term indices of every converted node.
+  std::vector<uint32_t> HostId;
+  std::vector<EnvSlot> SlotScratch;
+  std::vector<uint32_t> KidScratch;
+  std::vector<uint32_t> Ordinals;
+  uint32_t RootId = 0; ///< host id of the last record built
   bool HaveRoot = false;
-  std::string ConvError;
-  ByteSpan Input;
+  const char *ConvError = nullptr;
 
-  // BeginNode is a lambda inside parse() (it needs the typed
-  // ipg_rt::AttrSlot pointer this header deliberately avoids naming).
-  static void cbEndNode(void *User);
-  static void cbBeginArray(void *User, unsigned ElemNameId, unsigned NumElems);
-  static void cbEndArray(void *User);
-  static void cbLeaf(void *User, const unsigned char *Data,
-                     unsigned long long Len, long long Off, int Opaque);
-
-  Frame &pushFrame();
-  void appendChild(uint32_t Id);
+  static void onExport(void *User, const ipg_rt::ExportObjC *Obj);
+  void build(const ipg_rt::ExportObjC &Obj);
 };
 
 } // namespace ipg

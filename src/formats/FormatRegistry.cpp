@@ -200,11 +200,11 @@ GenModuleConfig ipg::formats::genModuleConfig(const std::string &Name) {
   Config.BridgeSource = Br->DriverSource;
   Config.RegisterBlackboxes = true;
   Config.Std = "c++20"; // the bridge includes library headers
-  Config.ExtraCompileArgs = "-I" IPG_SOURCE_DIR;
+  Config.ExtraCompileArgs = "-I" + shellQuote(IPG_SOURCE_DIR);
   std::istringstream Toks(Br->ExtraSources);
   std::string T;
   while (Toks >> T)
-    Config.ExtraCompileArgs += " " IPG_SOURCE_DIR "/" + T;
+    Config.ExtraCompileArgs += " " + shellQuote(IPG_SOURCE_DIR "/" + T);
   return Config;
 }
 

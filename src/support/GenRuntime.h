@@ -46,6 +46,12 @@
 ///    TreeStore uses (runtime/ParseTree.h), recycled across parses so
 ///    steady-state parsing performs no heap allocation.
 ///
+/// 4. The cross-module tree export (exportTree): one linear pass that
+///    hands each object reachable from a parse's root to a host callback
+///    exactly once, children before parents, so the in-process generated
+///    engine (codegen/GenEngine.cpp) rebuilds the tree with its sharing
+///    intact.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef IPG_SUPPORT_GENRUNTIME_H
@@ -663,6 +669,11 @@ struct Node {
   /// the inverse hook instead of copying children. Copied along by
   /// shifted() like every other field.
   bool Bb = false;
+  /// For a shifted view: the id of the unshifted node it views (views of
+  /// views record the innermost base, with Shift the composed delta).
+  /// NotAView for every other object.
+  unsigned ViewOf = NotAView;
+  static constexpr unsigned NotAView = ~0u;
 
   /// Child-node view over this node's unified child list (the accessor
   /// surface generated-parser drivers use: `Root->children()[0].get()`).
@@ -964,6 +975,10 @@ public:
   std::vector<unsigned> &flatPrefixKids() { return FlatKids; }
   /// The step machine's pooled task stack (runMachine).
   std::vector<Task> &stepTasks() { return Steps; }
+  /// exportTree's pooled reachability marks (one byte per object) and
+  /// work stack.
+  std::vector<unsigned char> &exportMarks() { return ExportMarks; }
+  std::vector<unsigned> &exportWork() { return ExportWork; }
 
   /// Freezes a frame's scratch env + child ids into the arena as a node.
   inline unsigned freeze(struct Frame &F, unsigned NameId);
@@ -1003,6 +1018,8 @@ public:
       return SubId;
     Node N = Objs[SubId]; // copy first: add() may grow the vector
     N.Shift += Delta;
+    if (N.ViewOf == Node::NotAView)
+      N.ViewOf = SubId; // a view of a view already names the base
     return add(N);
   }
 
@@ -1091,6 +1108,8 @@ private:
   std::vector<FlatLevel> FlatLevels;
   std::vector<unsigned> FlatKids;
   std::vector<Task> Steps;
+  std::vector<unsigned char> ExportMarks;
+  std::vector<unsigned> ExportWork;
   size_t ArrayNest = 0;
   bool Hard = false;
   long long FailName = -1;
@@ -1429,76 +1448,113 @@ inline std::string dumpTree(const Node *Root) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cross-module tree extraction. GenEngine (codegen/GenEngine.cpp) compiles
-// a generated parser into a shared object and dlopens it; the parsed tree
+// Cross-module tree export. GenEngine (codegen/GenEngine.cpp) compiles a
+// generated parser into a shared object and dlopens it; the parsed tree
 // must then cross the .so boundary WITHOUT the host dereferencing the
 // module's Node structures (two separately compiled translation units
 // should share as little layout as possible). The walk therefore runs
-// INSIDE the emitting module — visitTree below is embedded with the rest
-// of this header — and streams the tree through the C-style callback
-// table TreeVisitorC, whose layout (plain function pointers + AttrSlot,
-// both standard-layout) is the entire cross-module contract.
+// INSIDE the emitting module — exportTree below is embedded with the
+// rest of this header — and hands each object over as one ExportObjC
+// record, whose standard layout (plain scalars and pointers) is the
+// entire cross-module contract.
 //===----------------------------------------------------------------------===//
 
-/// Callback table for visitTree. Attribute slots arrive RAW (base-local
-/// coordinates); the node's lazy T-NTSucc delta is delivered separately
-/// as \p Shift, so a host rebuilding the tree can reproduce the shared-
-/// base-plus-view structure (or eagerly apply the shift — its choice).
-/// \p IsBlackbox mirrors Node::Bb: such a node's leaf child carries
-/// DECODED bytes living in the module's arena, which the host must copy
-/// (ordinary leaves alias the parsed input buffer, which the host owns).
-struct TreeVisitorC {
-  void *User = nullptr;
-  void (*BeginNode)(void *User, unsigned NameId, long long Shift,
-                    int IsBlackbox, const AttrSlot *Slots,
-                    unsigned NumSlots) = nullptr;
-  void (*EndNode)(void *User) = nullptr;
-  void (*BeginArray)(void *User, unsigned ElemNameId,
-                     unsigned NumElems) = nullptr;
-  void (*EndArray)(void *User) = nullptr;
-  void (*Leaf)(void *User, const unsigned char *Data,
-               unsigned long long Len, long long Off, int Opaque) = nullptr;
+/// One tree object as exportTree hands it to the host. Every id is a
+/// module object id (Ctx::node); the ids a record names (KidIds, ViewOf)
+/// were all emitted by earlier records.
+struct ExportObjC {
+  unsigned Id = 0;
+  unsigned char Kind = Node::KNode; ///< Node::KNode / KArray / KLeaf
+  /// Node: built by blackboxNode (Node::Bb). Leaf: the decoded output of
+  /// a blackbox node — its bytes live in the module's arena, which dies
+  /// with the next parse, so the host must copy them (ordinary leaves
+  /// alias the parsed input buffer, which the host owns).
+  unsigned char Bb = 0;
+  unsigned char Opaque = 0; ///< leaf: a wildcard match
+  unsigned NameId = 0;      ///< node rule name / array element name
+  /// Node: Node::NotAView, or the base node this record is a lazy shifted
+  /// view of — Shift is then the whole delta, and the view shares the
+  /// base's slots and children, so Slots/KidIds are left empty.
+  unsigned ViewOf = Node::NotAView;
+  long long Shift = 0;
+  const AttrSlot *Slots = nullptr; ///< node: RAW (base-local) attributes
+  unsigned NumSlots = 0;
+  const unsigned *KidIds = nullptr; ///< node children / array elements
+  unsigned NumKids = 0;
+  const unsigned char *Data = nullptr; ///< leaf payload
+  unsigned long long Len = 0;
+  long long Off = 0;
 };
 
-/// Streams \p N depth-first through \p V (children between Begin/End).
-/// Shared subtrees (memoized nodes re-anchored under several parents as
-/// lazy views) are visited once per occurrence — the stream is the tree
-/// AS OBSERVED, exactly what the canonical dump renders.
-inline void visitTree(const Node *Root, const TreeVisitorC &V) {
-  // Iterative with an explicit cursor per level (Begin/End events bracket
-  // the children): tree depth equals grammar recursion depth, which may
-  // be far beyond what the C stack holds.
-  struct Item {
-    const Node *N;
-    unsigned NextKid;
+using ExportFn = void (*)(void *User, const ExportObjC *Obj);
+
+/// Hands every object reachable from \p Root to \p Fn exactly once, in
+/// increasing id order. Every builder (freeze, leaf, array, shifted,
+/// blackboxNode) adds an object after the objects it names, so that
+/// order puts children before parents and \p Root last; objects built
+/// by failed alternatives are unreachable and never emitted. Shared
+/// subtrees (memoized nodes re-anchored under several parents as lazy
+/// views) are emitted once, so a host rebuilding the records keeps the
+/// module's sharing. Both passes are linear and iterative — tree depth
+/// equals grammar recursion depth, which may be far beyond what the C
+/// stack holds — and their buffers are the Ctx's pooled ones.
+inline void exportTree(Ctx &C, unsigned Root, ExportFn Fn, void *User) {
+  // Mark: 1 = reachable, 2 = reachable and the decoded leaf of a
+  // blackbox node (only blackboxNode's leafCopy builds such a leaf, and
+  // nothing else points at it).
+  std::vector<unsigned char> &Mark = C.exportMarks();
+  std::vector<unsigned> &Work = C.exportWork();
+  Mark.assign(static_cast<size_t>(Root) + 1, 0);
+  Work.clear();
+  Mark[Root] = 1;
+  Work.push_back(Root);
+  unsigned Lowest = Root;
+  auto reach = [&](unsigned Id, unsigned char M) {
+    assert(Id < Root && "a child id must precede its parent's");
+    if (Mark[Id])
+      return;
+    Mark[Id] = M;
+    Lowest = std::min(Lowest, Id);
+    Work.push_back(Id);
   };
-  std::vector<Item> Stack;
-  Stack.push_back(Item{Root, 0});
-  while (!Stack.empty()) {
-    Item &It = Stack.back();
-    const Node *N = It.N;
-    if (It.NextKid == 0) {
-      if (N->Kind == Node::KLeaf) {
-        V.Leaf(V.User, N->Data, N->Len, N->Off, N->Opaque ? 1 : 0);
-        Stack.pop_back();
-        continue;
-      }
-      if (N->Kind == Node::KArray)
-        V.BeginArray(V.User, N->NameId, N->NumKids);
-      else
-        V.BeginNode(V.User, N->NameId, N->Shift, N->Bb ? 1 : 0, N->Slots,
-                    N->NumSlots);
-    }
-    if (It.NextKid < N->NumKids) {
-      unsigned K = It.NextKid++;
-      Stack.push_back(Item{N->kid(K), 0}); // invalidates It
+  while (!Work.empty()) {
+    const Node *N = C.node(Work.back());
+    Work.pop_back();
+    if (N->ViewOf != Node::NotAView) {
+      reach(N->ViewOf, 1); // the base carries the shared children
       continue;
     }
-    if (N->Kind == Node::KArray)
-      V.EndArray(V.User);
-    else
-      V.EndNode(V.User);
-    Stack.pop_back();
+    for (unsigned I = 0; I < N->NumKids; ++I)
+      reach(N->KidIds[I], N->Bb ? 2 : 1);
+  }
+
+  ExportObjC R;
+  for (unsigned Id = Lowest; Id <= Root; ++Id) {
+    if (!Mark[Id])
+      continue;
+    const Node *N = C.node(Id);
+    R = ExportObjC();
+    R.Id = Id;
+    R.Kind = N->Kind;
+    if (N->Kind == Node::KLeaf) {
+      R.Bb = Mark[Id] == 2;
+      R.Opaque = N->Opaque;
+      R.Data = N->Data;
+      R.Len = N->Len;
+      R.Off = N->Off;
+    } else {
+      R.Bb = N->Bb;
+      R.NameId = N->NameId;
+      R.ViewOf = N->ViewOf;
+      R.Shift = N->Shift;
+      if (N->ViewOf == Node::NotAView) {
+        R.Slots = N->Slots;
+        R.NumSlots = N->NumSlots;
+        R.KidIds = N->KidIds;
+        R.NumKids = N->NumKids;
+      }
+    }
+    Fn(User, &R);
   }
 }
 

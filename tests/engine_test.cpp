@@ -19,12 +19,24 @@
 #include "analysis/AttributeCheck.h"
 #include "codegen/GenEngine.h"
 #include "formats/FormatRegistry.h"
+#include "formats/Pdf.h"
+#include "formats/Zip.h"
 #include "runtime/Engine.h"
 #include "runtime/Interp.h"
 
 #include "TreeCanonical.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include <unistd.h>
 
 using namespace ipg;
 using testutil::renderCanonical;
@@ -40,6 +52,44 @@ Grammar load(const std::string &Src) {
 }
 
 bool haveGen() { return GenModule::hostCompilerAvailable(); }
+
+/// Every distinct tree object reachable from \p Root, each visited once
+/// (a shared subtree is one object however many parents it has).
+std::vector<const ParseTree *> distinctObjects(const ParseTree *Root) {
+  std::unordered_set<const ParseTree *> Seen{Root};
+  std::vector<const ParseTree *> Out, Work{Root};
+  while (!Work.empty()) {
+    const ParseTree *T = Work.back();
+    Work.pop_back();
+    Out.push_back(T);
+    auto Push = [&](const ParseTree *K) {
+      if (Seen.insert(K).second)
+        Work.push_back(K);
+    };
+    if (const auto *N = dyn_cast<NodeTree>(T))
+      for (TreeRef K : N->children())
+        Push(K.get());
+    else if (const auto *A = dyn_cast<ArrayTree>(T))
+      for (TreeRef K : A->elements())
+        Push(K.get());
+  }
+  return Out;
+}
+
+size_t countNodeTrees(const ParseTree *Root) {
+  size_t N = 0;
+  for (const ParseTree *T : distinctObjects(Root))
+    N += isa<NodeTree>(T);
+  return N;
+}
+
+std::vector<std::string> leafBytes(const ParseTree *Root) {
+  std::vector<std::string> Out;
+  for (const ParseTree *T : distinctObjects(Root))
+    if (const auto *L = dyn_cast<LeafTree>(T))
+      Out.emplace_back(L->bytes());
+  return Out;
+}
 
 } // namespace
 
@@ -198,4 +248,97 @@ TEST(EngineOptionsParity, UseMemoOffPreservesTreesOnBothEngines) {
     EXPECT_EQ((*EOff)->stats().MemoMisses, 0u)
         << "UseMemo=false must really disable the table";
   }
+}
+
+// The generated engine rebuilds the module's tree object for object: a
+// memoized subtree re-anchored by several parents (here: the objects
+// every duplicate xref row re-parses) stays ONE host subtree, exactly
+// as the VM shares it.
+TEST(GeneratedTreeExport, KeepsTheModulesSharingOnABacktrackingPdf) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  auto VE = formats::makeFormatEngine("pdf", EngineKind::Vm);
+  ASSERT_TRUE(VE) << VE.message();
+  auto GE = formats::makeFormatEngine("pdf", EngineKind::Generated);
+  ASSERT_TRUE(GE) << GE.message();
+  formats::PdfSynthSpec Spec;
+  Spec.XrefRefsPerObject = 4;
+  std::vector<uint8_t> In = formats::synthesizePdf(Spec);
+
+  auto TV = (*VE)->parse(ByteSpan::of(In));
+  ASSERT_TRUE(TV) << TV.message();
+  auto TG = (*GE)->parse(ByteSpan::of(In));
+  ASSERT_TRUE(TG) << TG.message();
+  EXPECT_EQ(renderCanonical(*TV, VE->Load->G),
+            renderCanonical(*TG, GE->Load->G));
+  EXPECT_GT((*GE)->stats().MemoHits, 0u) << "the input must share subtrees";
+  EXPECT_EQ(countNodeTrees(TV->get()), countNodeTrees(TG->get()));
+}
+
+// Decoded blackbox output lives in the module's arena, which the next
+// parse reuses: the host tree must own a copy.
+TEST(GeneratedTreeExport, DecodedBlackboxLeavesOutliveTheNextParse) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  auto GE = formats::makeFormatEngine("zip", EngineKind::Generated);
+  ASSERT_TRUE(GE) << GE.message();
+  formats::ZipSynthSpec First = formats::zipArchiveOfCopies(2, 300, true, 1);
+  formats::ZipSynthSpec Second = formats::zipArchiveOfCopies(2, 300, true, 2);
+  ASSERT_NE(First.Entries[0].Data, Second.Entries[0].Data);
+  std::vector<uint8_t> In1 = formats::synthesizeZip(First);
+  std::vector<uint8_t> In2 = formats::synthesizeZip(Second);
+
+  auto T1 = (*GE)->parse(ByteSpan::of(In1));
+  ASSERT_TRUE(T1) << T1.message();
+  std::vector<std::string> Before = leafBytes(T1->get());
+  const std::vector<uint8_t> &Plain = First.Entries[0].Data;
+  std::string Decoded(Plain.begin(), Plain.end());
+  ASSERT_NE(std::find(Before.begin(), Before.end(), Decoded), Before.end())
+      << "the first tree must hold the decoded payload as a leaf";
+
+  auto T2 = (*GE)->parse(ByteSpan::of(In2)); // T1 is still alive
+  ASSERT_TRUE(T2) << T2.message();
+  EXPECT_EQ(leafBytes(T1->get()), Before);
+}
+
+// A TMPDIR with a space in it: the module must compile there, and its
+// teardown must remove exactly its own work dir — not a sibling whose
+// name is the path's prefix up to the space.
+TEST(GeneratedTreeExport, WorkDirUnderATmpdirWithASpace) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  namespace fs = std::filesystem;
+  fs::path Root = fs::path(::testing::TempDir()) /
+                  ("ipg_engine_tmpdir_" + std::to_string(::getpid()));
+  fs::path Spaced = Root / "tdir x";
+  fs::path Canary = Root / "tdir";
+  fs::create_directories(Spaced);
+  fs::create_directories(Canary);
+  std::ofstream(Canary / "keep") << "canary";
+
+  const char *Old = std::getenv("TMPDIR");
+  std::string Saved = Old ? Old : "";
+  ::setenv("TMPDIR", Spaced.c_str(), 1);
+  Grammar G = load(R"(S -> "ab"[0, 2] {v = 7} ;)");
+  fs::path WorkDir;
+  {
+    auto M = GenModule::compile(G);
+    if (Old)
+      ::setenv("TMPDIR", Saved.c_str(), 1);
+    else
+      ::unsetenv("TMPDIR");
+    ASSERT_TRUE(M) << M.message();
+    WorkDir = fs::path((*M)->path()).parent_path();
+    EXPECT_EQ(WorkDir.parent_path(), Spaced);
+    EXPECT_TRUE(fs::is_directory(WorkDir));
+    GenEngine E(*M, G);
+    std::vector<uint8_t> In = {'a', 'b'};
+    auto T = E.parse(ByteSpan::of(In));
+    ASSERT_TRUE(T) << T.message();
+    EXPECT_NE(renderCanonical(*T, G).find("v=7"), std::string::npos);
+  } // tree, engine, then module die: the work dir goes with the module
+  EXPECT_FALSE(fs::exists(WorkDir));
+  EXPECT_TRUE(fs::exists(Canary / "keep"));
+  EXPECT_TRUE(fs::is_directory(Spaced));
+  fs::remove_all(Root);
 }

@@ -12,8 +12,9 @@
 /// from tests/arena_test.cpp (which exercises the same code through the
 /// ipg aliases), lazy shifted-node views including deep nesting (a view
 /// whose base is itself a view) and aliasing (many views over one base),
-/// the O(1) SlotIndex behind environments, and the blackbox hook's node
-/// construction. Runs under the ASan+UBSan CI job like every suite.
+/// the O(1) SlotIndex behind environments, the blackbox hook's node
+/// construction, and the cross-module tree export (exportTree). Runs
+/// under the ASan+UBSan CI job like every suite.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -514,4 +516,123 @@ TEST(GenRuntimeBlackbox, NodeLayoutMatchesTheInterpreter) {
   ASSERT_TRUE(E->getById(IdEnd, V));
   EXPECT_EQ(V, 3); // Lo
   EXPECT_EQ(E->kidCount(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Cross-module tree export
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+void collectRecord(void *User, const ExportObjC *Obj) {
+  static_cast<std::vector<ExportObjC> *>(User)->push_back(*Obj);
+}
+
+} // namespace
+
+TEST(GenRuntimeExport, EmitsEachReachableObjectOnceChildrenFirst) {
+  Ctx C;
+  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
+  static const unsigned char In[] = {'a', 'b', 'c', 'd'};
+  C.beginParse(In);
+
+  // A failed alternative's node: built, then abandoned by its parent.
+  unsigned Garbage = freezeNode(C, 0, 1, 0);
+
+  // The memoized subtree: a node over one input leaf, re-anchored by
+  // several parents (directly, through a view, and a view of a view
+  // whose middle view nothing else references).
+  Frame &FB = C.frameAt(1);
+  FB.beginAlt(nullptr, 0, 2, nullptr, 0);
+  FB.setAttr(IdStart, 0);
+  FB.setAttr(IdEnd, 2);
+  unsigned InLeaf = C.leaf(In, 2, 0, false);
+  FB.Kids.push_back(InLeaf);
+  unsigned Base = C.freeze(FB, IdA);
+  unsigned AtTwo = C.shifted(Base, 2);
+  unsigned Middle = C.shifted(Base, 1);
+  unsigned AtThree = C.shifted(Middle, 2);
+
+  C.registerBlackbox(IdBb, consumingBb, nullptr);
+  BlackboxOut BB;
+  ASSERT_EQ(C.callBlackbox(IdBb, In, 4, BB), 1);
+  unsigned Bb = C.blackboxNode(IdBb, IdVal, BB, 0, 4);
+  unsigned BbLeaf = C.node(Bb)->KidIds[0];
+
+  std::vector<unsigned> Elems = {Base, AtTwo};
+  unsigned Arr = C.array(IdA, Elems);
+  unsigned Opaque = C.leaf(In + 2, 2, 2, true);
+
+  Frame &FR = C.frameAt(0);
+  FR.beginAlt(nullptr, 0, 4, nullptr, 0);
+  FR.setAttr(IdStart, 0);
+  FR.setAttr(IdEnd, 4);
+  FR.Kids.push_back(Arr);
+  FR.Kids.push_back(AtThree);
+  FR.Kids.push_back(Bb);
+  FR.Kids.push_back(Opaque);
+  unsigned Root = C.freeze(FR, IdX);
+
+  std::vector<ExportObjC> Recs;
+  exportTree(C, Root, collectRecord, &Recs);
+
+  std::map<unsigned, ExportObjC> ById;
+  for (size_t I = 0; I < Recs.size(); ++I) {
+    const ExportObjC &R = Recs[I];
+    if (I) {
+      EXPECT_LT(Recs[I - 1].Id, R.Id) << "ids must strictly increase";
+    }
+    for (unsigned K = 0; K < R.NumKids; ++K)
+      EXPECT_TRUE(ById.count(R.KidIds[K]))
+          << "child " << R.KidIds[K] << " of " << R.Id << " not yet emitted";
+    if (R.ViewOf != Node::NotAView) {
+      EXPECT_TRUE(ById.count(R.ViewOf)) << "view base not yet emitted";
+    }
+    EXPECT_TRUE(ById.emplace(R.Id, R).second) << "emitted twice: " << R.Id;
+  }
+  ASSERT_FALSE(Recs.empty());
+  EXPECT_EQ(Recs.back().Id, Root);
+
+  // Exactly the reachable objects: the abandoned node and the unshared
+  // middle view are not; the base is, once, for all its re-anchorings.
+  std::vector<unsigned> Want = {InLeaf, Base,   AtTwo, AtThree, BbLeaf,
+                                Bb,     Arr,    Opaque, Root};
+  EXPECT_EQ(Recs.size(), Want.size());
+  for (unsigned Id : Want)
+    EXPECT_TRUE(ById.count(Id)) << "missing " << Id;
+  EXPECT_FALSE(ById.count(Garbage));
+  EXPECT_FALSE(ById.count(Middle));
+
+  // Views carry their whole delta over the unshifted base, and no slots
+  // or children of their own.
+  EXPECT_EQ(ById[AtTwo].ViewOf, Base);
+  EXPECT_EQ(ById[AtTwo].Shift, 2);
+  EXPECT_EQ(ById[AtThree].ViewOf, Base);
+  EXPECT_EQ(ById[AtThree].Shift, 3);
+  EXPECT_EQ(ById[AtThree].NumKids, 0u);
+  EXPECT_EQ(ById[AtThree].NumSlots, 0u);
+  EXPECT_EQ(ById[Base].ViewOf, Node::NotAView);
+  EXPECT_EQ(ById[Base].Shift, 0);
+  EXPECT_EQ(ById[Base].NumSlots, 2u);
+
+  // The blackbox node and its decoded leaf are flagged; input leaves are
+  // not, and keep their opacity.
+  EXPECT_EQ(ById[Bb].Kind, Node::KNode);
+  EXPECT_EQ(ById[Bb].Bb, 1);
+  EXPECT_EQ(ById[BbLeaf].Kind, Node::KLeaf);
+  EXPECT_EQ(ById[BbLeaf].Bb, 1);
+  EXPECT_EQ(ById[BbLeaf].Len, 4u);
+  EXPECT_EQ(ById[InLeaf].Bb, 0);
+  EXPECT_EQ(ById[InLeaf].Data, In);
+  EXPECT_EQ(ById[InLeaf].Opaque, 0);
+  EXPECT_EQ(ById[Opaque].Opaque, 1);
+  EXPECT_EQ(ById[Arr].Kind, Node::KArray);
+  EXPECT_EQ(ById[Arr].NumKids, 2u);
+
+  // The pooled buffers make a second export of the same tree identical.
+  std::vector<ExportObjC> Again;
+  exportTree(C, Root, collectRecord, &Again);
+  ASSERT_EQ(Again.size(), Recs.size());
+  for (size_t I = 0; I < Recs.size(); ++I)
+    EXPECT_EQ(Again[I].Id, Recs[I].Id);
 }
