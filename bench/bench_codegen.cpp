@@ -45,6 +45,7 @@
 #include "BenchUtil.h"
 
 #include "codegen/CppEmitter.h"
+#include "codegen/GenEngine.h"
 #include "formats/FormatRegistry.h"
 #include "runtime/Engine.h"
 
@@ -52,6 +53,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
@@ -142,6 +144,8 @@ int main(int argc, char **argv) {
 
 /// Per-run scratch directory: PID-suffixed so concurrent runs (parallel
 /// CI jobs, multiple users) cannot compile or measure each other's files.
+/// main() removes it once the format is measured; a failed build or run
+/// keeps it for its compile.log.
 std::string scratchDir(const std::string &Format) {
   return "/tmp/ipg_bench_codegen_" + std::to_string(getpid()) + "_" +
          Format;
@@ -157,8 +161,13 @@ std::string buildGenerated(const std::string &Format, const Grammar &G) {
     return "";
   }
   std::string Dir = scratchDir(Format);
-  if (std::system(("mkdir -p " + Dir).c_str()) != 0)
+  std::error_code Ec;
+  std::filesystem::create_directories(Dir, Ec);
+  if (Ec) {
+    std::fprintf(stderr, "error: %s: cannot create %s: %s\n",
+                 Format.c_str(), Dir.c_str(), Ec.message().c_str());
     return "";
+  }
   {
     std::ofstream Src(Dir + "/parser.cpp");
     Src << *Code << ChildMain;
@@ -168,8 +177,9 @@ std::string buildGenerated(const std::string &Format, const Grammar &G) {
       return "";
     }
   }
-  std::string Compile = "c++ -std=c++17 -O2 -o " + Dir + "/bench " + Dir +
-                        "/parser.cpp 2> " + Dir + "/compile.log";
+  std::string Compile = "c++ -std=c++17 -O2 -o " + shellQuote(Dir + "/bench") +
+                        " " + shellQuote(Dir + "/parser.cpp") + " 2> " +
+                        shellQuote(Dir + "/compile.log");
   if (std::system(Compile.c_str()) != 0) {
     std::fprintf(stderr, "error: %s: generated parser failed to compile "
                          "(see %s/compile.log)\n",
@@ -238,7 +248,8 @@ bool runGenerated(const std::string &Exe, const std::string &Format,
     if (!In)
       return false;
   }
-  std::string Cmd = Exe + " " + Dir + "/input.bin " + std::to_string(Reps);
+  std::string Cmd = shellQuote(Exe) + " " + shellQuote(Dir + "/input.bin") +
+                    " " + std::to_string(Reps);
   std::FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe)
     return false;
@@ -311,6 +322,8 @@ int main(int argc, char **argv) {
       ++Failures;
       continue;
     }
+    std::error_code Ec; // best effort, like GenModule's own cleanup
+    std::filesystem::remove_all(scratchDir(FI.Name), Ec);
     double MeanUs = M["mean_us"];
     double Bps = MeanUs > 0 ? Size / (MeanUs * 1e-6) : 0;
     std::string Entry = FI.Name + "/generated";

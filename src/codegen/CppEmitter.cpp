@@ -1323,20 +1323,6 @@ Expected<std::string> Emitter::run() {
          "      }\n"
          "    return false;\n"
          "  }\n"
-         "  /// Binds the INVERSE of the blackbox named \\p Name — what\n"
-         "  /// printTree re-encodes that blackbox's decoded output with.\n"
-         "  /// Parsing never consults it. Returns false for any name the\n"
-         "  /// grammar does not declare as a blackbox.\n"
-         "  bool registerBlackboxInverse(const char *Name,\n"
-         "                               ipg_rt::BlackboxInvFn Fn,\n"
-         "                               void *User = nullptr) {\n"
-         "    for (unsigned I = 0; BlackboxIds[I] != ~0u; ++I)\n"
-         "      if (!std::strcmp(Names[BlackboxIds[I]], Name)) {\n"
-         "        C.registerBlackboxInverse(BlackboxIds[I], Fn, User);\n"
-         "        return true;\n"
-         "      }\n"
-         "    return false;\n"
-         "  }\n"
          "  /// Tree objects built by the last parse (diagnostics). Counts\n"
          "  /// every object: nodes, shifted views, arrays, leaves, and\n"
          "  /// garbage from failed alternatives.\n"
@@ -1365,16 +1351,6 @@ Expected<std::string> Emitter::run() {
          "  ipg_rt::Ctx C;\n"
          "  unsigned Root = 0; ///< root object id of the last parse\n"
          "};\n\n"
-         "/// Canonical multi-line rendering (the differential-test "
-         "format).\n"
-         "inline std::string dumpTree(NodePtr Root) { "
-         "return ipg_rt::dumpTree(Root); }\n\n"
-         "/// Serializes a parsed tree back into bytes (the roundtrip-test\n"
-         "/// surface); false leaves a diagnostic in Out.Error.\n"
-         "inline bool printTree(NodePtr Root, const ipg_rt::PrintOptions "
-         "&Opts,\n"
-         "                      ipg_rt::PrintOut &Out) { "
-         "return ipg_rt::printTree(Root, Opts, Out); }\n\n"
          "/// One-shot convenience over a process-lifetime Parser; the "
          "returned\n"
          "/// tree is valid until the next call.\n"

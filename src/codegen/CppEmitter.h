@@ -27,9 +27,11 @@
 ///                                 // (0 allocs steady state)
 ///
 /// A parsed tree is borrowed from its parser and valid until the next
-/// parse() on the same instance. `NS::dumpTree(Root)` renders the
-/// canonical form tests/differential_test.cpp compares against the
-/// interpreter.
+/// parse() on the same instance. `P.exportTree(fn, user)` hands it out
+/// one record per object; codegen/GenEngine.h builds those records into
+/// a host ParseTree, which is how the differential and round-trip tests
+/// compare and print generated trees (testutil::renderCanonical,
+/// serialize::printTree) with the same code as the other engines.
 ///
 /// Feature parity with the engine (both former documented limitations are
 /// closed):
@@ -37,9 +39,9 @@
 ///  - Memoization: every non-local (rule, interval) result — successes
 ///    AND failures — is memoized in the embedded FlatIntervalMap with the
 ///    interpreter's exact key packing, closing the Fig.-12 gap on
-///    backtracking-heavy grammars like PDF. CppEmitterOptions::Memoize
-///    turns it off for ablation (plain recursive descent, as the paper's
-///    generator); the trees are identical either way.
+///    backtracking-heavy grammars like PDF. CppEmitterOptions::Engine.
+///    UseMemo = false turns it off for ablation (plain recursive descent,
+///    as the paper's generator); the trees are identical either way.
 ///
 ///  - Blackboxes: grammars with blackbox terms compile, and the driver
 ///    binds implementations at runtime through the registration hook

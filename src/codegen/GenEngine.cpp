@@ -158,7 +158,7 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
   }
 
   // Match the host build's sanitizer so instrumented and plain code never
-  // mix inside one process (the same policy as tests/CodegenTestHarness.h).
+  // mix inside one process.
   std::string San;
 #ifdef IPG_SANITIZE_THREAD_BUILD
   San = " -g -fsanitize=thread";
@@ -312,12 +312,9 @@ void GenEngine::build(const ipg_rt::ExportObjC &O) {
         }
         SlotScratch[I] = EnvSlot{S, O.Slots[I].V};
       }
-      while (Ordinals.size() < O.NumKids)
-        Ordinals.push_back(static_cast<uint32_t>(Ordinals.size()));
       Id = Cur->makeNodeFromSlots(Name, IdToRule[O.NameId],
                                   SlotScratch.data(), O.NumSlots,
-                                  KidScratch.data(), Ordinals.data(),
-                                  O.NumKids);
+                                  KidScratch.data(), O.NumKids);
     }
   }
   HostId[O.Id] = Id;

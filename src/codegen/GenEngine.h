@@ -9,7 +9,9 @@
 /// Runs the output of the Section-7 parser generator behind the same
 /// ipg::Engine interface the interpreter implements, so callers (the
 /// differential harness, benches, ParseService workers) can swap engines
-/// without caring which one is live.
+/// without caring which one is live. It is the only way the tests run
+/// generated code: they compare, print and dump generated trees
+/// in-process through it, with the same host code as the other engines.
 ///
 /// Two classes split the expensive and the cheap halves:
 ///
@@ -49,11 +51,10 @@
 ///
 /// Converted nodes carry the grammar's global RuleId when the node's
 /// name resolves to a global rule and InvalidRuleId otherwise (local
-/// rules), and sequential child ordinals as their child term indices
-/// (the module tree records no grammar term positions); canonical dumps
-/// and attribute reads consult neither, but Printer-based
-/// re-serialization of GenEngine trees is not supported — print through
-/// the interpreter or the module's own printTree.
+/// rules). Nothing else distinguishes them from interpreter trees:
+/// serialize::printTree re-emits them byte-exactly (its origin walk
+/// reads only shifts, attributes and leaves, and blackbox nodes are
+/// recognized by name), and canonical dumps match the interpreter's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,9 +112,9 @@ std::string shellQuote(const std::string &S);
 /// per thread) to actually parse.
 class GenModule {
 public:
-  /// True when a host `c++` is available to compile modules with —
-  /// mirrors tests/CodegenTestHarness.h; callers should skip/fall back
-  /// rather than fail hard when this is false.
+  /// True when a host `c++` is available to compile modules with;
+  /// callers should skip/fall back rather than fail hard when this is
+  /// false.
   static bool hostCompilerAvailable();
 
   static Expected<std::shared_ptr<GenModule>>
@@ -188,12 +189,10 @@ private:
 
   // Export scratch, reused across parses (capacity persists — no
   // steady-state allocation): module object id -> host node id, and the
-  // translated slots / children of the record being built. Ordinals
-  // holds 0, 1, 2, ... — the child term indices of every converted node.
+  // translated slots / children of the record being built.
   std::vector<uint32_t> HostId;
   std::vector<EnvSlot> SlotScratch;
   std::vector<uint32_t> KidScratch;
-  std::vector<uint32_t> Ordinals;
   uint32_t RootId = 0; ///< host id of the last record built
   bool HaveRoot = false;
   const char *ConvError = nullptr;

@@ -134,18 +134,19 @@ namespace {
 
 // The generated-parser side of the `inflate` blackbox: a bridge from the
 // ipg_rt registration hook (plain function pointer + cookie) to the SAME
-// miniZlibBlackbox the interpreter registers — the child compiles
+// miniZlibBlackbox the interpreter registers — the module compiles
 // formats/MiniZlib.cpp itself, so the two execution modes share one
 // decoder implementation down to the translation unit. The decoded bytes
-// live in a static buffer until the next invocation, which satisfies the
-// BlackboxOut lifetime contract (the runtime copies them into its arena
-// before returning).
+// live in a per-thread buffer until that thread's next invocation, which
+// satisfies the BlackboxOut lifetime contract (the runtime copies them
+// into its arena before returning); per-thread because every Parser of a
+// module shares the bridge, and ParseService runs one Parser per worker.
 const char ZipGenBridgeSource[] = R"BRIDGE(
 #include "formats/MiniZlib.h"
 
 static bool ipgInflateBridge(void *, const unsigned char *Data, size_t Len,
                              ipg_rt::BlackboxOut &Out) {
-  static std::vector<uint8_t> Buf;
+  static thread_local std::vector<uint8_t> Buf;
   ipg::BlackboxResult R =
       ipg::formats::miniZlibBlackbox(ipg::ByteSpan(Data, Len));
   if (!R.Ok)
@@ -158,23 +159,8 @@ static bool ipgInflateBridge(void *, const unsigned char *Data, size_t Len,
   return true;
 }
 
-static bool ipgDeflateBridge(void *, const unsigned char *Decoded,
-                             size_t Len, long long Value,
-                             ipg_rt::BlackboxEncOut &Out) {
-  static std::vector<uint8_t> Buf;
-  ipg::BlackboxEncodeResult R = ipg::formats::miniZlibBlackboxInverse(
-      ipg::ByteSpan(Decoded, Len), Value);
-  if (!R.Ok)
-    return false;
-  Buf = std::move(R.Bytes);
-  Out.Data = Buf.data();
-  Out.Len = Buf.size();
-  return true;
-}
-
 template <class ParserT> void ipgRegisterBlackboxes(ParserT &P) {
   P.registerBlackbox("inflate", ipgInflateBridge, nullptr);
-  P.registerBlackboxInverse("inflate", ipgDeflateBridge, nullptr);
 }
 )BRIDGE";
 

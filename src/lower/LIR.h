@@ -168,8 +168,7 @@ struct ArmL {
 };
 
 /// One lowered term. TermIdx is the index into the SOURCE Alternative's
-/// Terms — the identity the tree (ChildTermIdx), the touch records
-/// (TermEnd), and the serializers key on.
+/// Terms — the identity the touch records (TermEnd) key on.
 struct TermL {
   TermOp Op = TermOp::Check;
   uint32_t TermIdx = 0;

@@ -76,7 +76,6 @@ struct ParseScratch {
     ByteSpan Input;
     Env E;
     std::vector<uint32_t> ChildIds;
-    std::vector<uint32_t> ChildTermIdx;
 
     /// Per-term touch records, invalidated per alternative by generation
     /// stamp — a rule with many failing alternatives pays O(1) per
@@ -98,7 +97,6 @@ struct ParseScratch {
       Lexical = Lex;
       E.clear();
       ChildIds.clear();
-      ChildTermIdx.clear();
       if (Recs.size() < NumTerms)
         Recs.resize(NumTerms);
       if (++RecGen == 0) {

@@ -243,7 +243,6 @@ private:
     uint32_t Adjusted = Store.makeShifted(Sub, Lo, G.symStart(), G.symEnd());
     updStartEnd(F.E, Lo + BStart, Lo + BEnd, BEnd != 0);
     F.ChildIds.push_back(Adjusted);
-    F.ChildTermIdx.push_back(TermIdx);
     F.rec(TermIdx, Lo + BStart, Lo + BEnd);
     if (Bank)
       *Bank = ParseScratch::FlatKid{Adjusted, Lo + BStart, Lo + BEnd,
@@ -285,7 +284,6 @@ private:
   uint32_t makeNode(const lir::RuleL &R, RuleId Id, const Frame &F) {
     ++Stats.NodesCreated;
     return Store.makeNode(R.Name, Id, F.E, F.ChildIds.data(),
-                          F.ChildTermIdx.data(),
                           static_cast<uint32_t>(F.ChildIds.size()));
   }
 
@@ -352,7 +350,6 @@ private:
       F.ChildIds.push_back(
           Store.makeLeaf(F.Input.data() + Lo, static_cast<size_t>(End - Lo),
                          Lo, /*Opaque=*/T.Op == lir::TermOp::MatchRaw));
-      F.ChildTermIdx.push_back(T.TermIdx);
     }
     F.rec(T.TermIdx, Lo, End);
     return true;
@@ -395,7 +392,6 @@ private:
     F.ChildIds.push_back(
         Store.makeArray(T.Elem, Elems.data(),
                         static_cast<uint32_t>(Elems.size())));
-    F.ChildTermIdx.push_back(T.TermIdx);
     if (AnyTouched)
       F.rec(T.TermIdx, 0, MaxEnd);
   }
@@ -492,7 +488,6 @@ private:
       Slots[2] = {G.symEnd(), Lo};
     }
     uint32_t KidIds[1];
-    uint32_t KidTerms[1] = {0};
     uint32_t NumKids = 0;
     if (!Res.Output.empty()) {
       // Decoded output is not a window into the input; copy it into the
@@ -502,11 +497,10 @@ private:
       NumKids = 1;
     }
     uint32_t Node = Store.makeNodeFromSlots(T.Sym, InvalidRuleId, Slots, 3,
-                                            KidIds, KidTerms, NumKids);
+                                            KidIds, NumKids);
     ++Stats.NodesCreated;
     updStartEnd(F.E, Lo, Lo + static_cast<int64_t>(Res.End), Res.End > 0);
     F.ChildIds.push_back(Node);
-    F.ChildTermIdx.push_back(T.TermIdx);
     F.rec(T.TermIdx, Lo, Lo + static_cast<int64_t>(Res.End));
     return true;
   }
@@ -605,7 +599,6 @@ private:
     F.ChildIds.push_back(Store.makeHole(F.Input.data() + Lo,
                                         static_cast<size_t>(Hi - Lo), Lo,
                                         HoleSym));
-    F.ChildTermIdx.push_back(TI);
     F.rec(TI, Lo, Hi);
     ++Stats.HolesFilled;
   }
@@ -976,7 +969,6 @@ private:
                           (St.FlatLevels.size() - LvBase) * PN + KidJ++];
           updStartEnd(F.E, K.Start, K.End, K.Touched);
           F.ChildIds.push_back(K.Node);
-          F.ChildTermIdx.push_back(T.TermIdx);
           F.rec(T.TermIdx, K.Start, K.End);
         } else if (T.Op == lir::TermOp::MatchBytes ||
                    T.Op == lir::TermOp::MatchRaw) {

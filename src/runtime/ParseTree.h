@@ -12,9 +12,7 @@
 ///
 /// Nodes carry the rule's attribute environment (including the special
 /// start/end attributes, already shifted into the parent's coordinate
-/// system by rule T-NTSucc). Children are stored in execution order, each
-/// tagged with the index of the originating term so tools can navigate by
-/// grammar position.
+/// system by rule T-NTSucc). Children are stored in execution order.
 ///
 /// Representation: every tree object lives in a TreeStore — a bump arena
 /// plus a node index — instead of being heap-allocated individually.
@@ -214,10 +212,10 @@ class NodeTree : public ParseTree {
 public:
   NodeTree(const TreeStore *Owner, Symbol Name, RuleId Rule,
            const EnvSlot *Slots, uint32_t NumSlots, const uint32_t *ChildIds,
-           const uint32_t *ChildTermIdx, uint32_t NumChildren)
+           uint32_t NumChildren)
       : ParseTree(Kind::Node), Owner(Owner), Name(Name), Rule(Rule),
         Slots(Slots), NumSlots(NumSlots), ChildIds(ChildIds),
-        ChildTermIdx(ChildTermIdx), NumChildren(NumChildren) {}
+        NumChildren(NumChildren) {}
   static bool classof(const ParseTree *T) { return T->kind() == Kind::Node; }
 
   Symbol name() const { return Name; }
@@ -225,11 +223,6 @@ public:
   inline EnvView env() const; // resolves the lazy shift (below)
   ChildList children() const {
     return ChildList(Owner, ChildIds, NumChildren);
-  }
-  /// Originating term index of child \p I (grammar-position navigation).
-  uint32_t childTermIndex(size_t I) const {
-    assert(I < NumChildren && "child index out of range");
-    return ChildTermIdx[I];
   }
 
   std::optional<int64_t> attr(Symbol S) const { return env().get(S); }
@@ -255,7 +248,6 @@ private:
   const EnvSlot *Slots;
   uint32_t NumSlots;
   const uint32_t *ChildIds;
-  const uint32_t *ChildTermIdx;
   uint32_t NumChildren;
   /// Lazy T-NTSucc delta of a shifted view (0 for directly built nodes).
   /// Applied to the start/end attributes by env(); everything else in the
@@ -405,25 +397,22 @@ public:
   size_t arenaBytesUsed() const { return Mem.bytesAllocated(); }
   size_t arenaBytesReserved() const { return Mem.bytesReserved(); }
 
-  /// Freezes \p E and the child id/term-index arrays into the arena and
-  /// creates a node. The spans may point at reusable scratch storage.
+  /// Freezes \p E and the child id array into the arena and creates a
+  /// node. The spans may point at reusable scratch storage.
   uint32_t makeNode(Symbol Name, RuleId Rule, const Env &E,
-                    const uint32_t *ChildIds, const uint32_t *ChildTermIdx,
-                    uint32_t NumChildren) {
+                    const uint32_t *ChildIds, uint32_t NumChildren) {
     return makeNodeFromSlots(Name, Rule, E.data(),
                              static_cast<uint32_t>(E.size()), ChildIds,
-                             ChildTermIdx, NumChildren);
+                             NumChildren);
   }
 
   uint32_t makeNodeFromSlots(Symbol Name, RuleId Rule, const EnvSlot *Slots,
                              uint32_t NumSlots, const uint32_t *ChildIds,
-                             const uint32_t *ChildTermIdx,
                              uint32_t NumChildren) {
     const EnvSlot *Frozen = Mem.copyArray(Slots, NumSlots);
     const uint32_t *Ids = Mem.copyArray(ChildIds, NumChildren);
-    const uint32_t *Terms = Mem.copyArray(ChildTermIdx, NumChildren);
     return addNode(Mem.make<NodeTree>(this, Name, Rule, Frozen, NumSlots,
-                                      Ids, Terms, NumChildren));
+                                      Ids, NumChildren));
   }
 
   /// Lazy shifted view of node \p BaseId (T-NTSucc): shares the frozen

@@ -50,7 +50,8 @@
 ///    hands each object reachable from a parse's root to a host callback
 ///    exactly once, children before parents, so the in-process generated
 ///    engine (codegen/GenEngine.cpp) rebuilds the tree with its sharing
-///    intact.
+///    intact. Printing and canonical dumps happen on that host tree
+///    (serialize/Printer.h), so the runtime carries neither.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -63,7 +64,6 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <vector>
 
 namespace ipg_rt {
@@ -626,8 +626,8 @@ struct NodeRef {
 
 /// A filtered view over a node's unified child list exposing only child
 /// *nodes* (terminal leaves and arrays are reachable through kidCount()/
-/// kid() and the canonical dump). Resolves ids against the owning Ctx at
-/// access time, so it stays valid while the store grows.
+/// kid()). Resolves ids against the owning Ctx at access time, so it
+/// stays valid while the store grows.
 struct ChildView {
   Ctx *C = nullptr;
   const unsigned *Ids = nullptr;
@@ -652,7 +652,6 @@ struct Node {
 
   unsigned char Kind = KNode;
   unsigned NameId = 0;     ///< node rule name / array element name
-  const char *Name = nullptr;
   const AttrSlot *Slots = nullptr;
   unsigned NumSlots = 0;
   const unsigned *KidIds = nullptr; ///< unified children / array elements
@@ -665,9 +664,8 @@ struct Node {
   long long Off = 0;
   bool Opaque = false;
   /// True for nodes built by blackboxNode: their one leaf child carries
-  /// DECODED bytes, so the serializer (printTree) must re-encode through
-  /// the inverse hook instead of copying children. Copied along by
-  /// shifted() like every other field.
+  /// DECODED bytes, which exportTree flags so the host copies them out
+  /// of this arena. Copied along by shifted() like every other field.
   bool Bb = false;
   /// For a shifted view: the id of the unshifted node it views (views of
   /// views record the innermost base, with Shift the composed delta).
@@ -682,8 +680,8 @@ struct Node {
   ChildView children() const { return ChildView{C, KidIds, NumKids}; }
 
   /// Slot \p I's value with the lazy shift resolved — the ONE place the
-  /// view delta is applied (every reader, the canonical dump included,
-  /// goes through it, so no path can observe unshifted coordinates).
+  /// view delta is applied (every reader goes through it, so no path can
+  /// observe unshifted coordinates).
   long long slotValue(unsigned I) const {
     long long V = Slots[I].V;
     if (Shift != 0 && (Slots[I].Id == IdStart || Slots[I].Id == IdEnd))
@@ -725,22 +723,6 @@ struct BlackboxOut {
 /// every BlackboxOut field must be set.
 using BlackboxFn = bool (*)(void *User, const unsigned char *Data,
                             size_t Len, BlackboxOut &Out);
-
-/// What a blackbox INVERSE hands back: the re-encoded bytes. Like
-/// BlackboxOut's Output, the buffer must stay valid until the callback's
-/// next invocation; printTree copies it into the output before returning.
-struct BlackboxEncOut {
-  const unsigned char *Data = nullptr;
-  size_t Len = 0;
-};
-
-/// The inverse hook next to BlackboxFn: re-encodes \p Decoded (a forward
-/// blackbox's Output) given \p Value (its val attribute). Serializers
-/// call it to re-emit the consumed window of a blackbox node; parsing
-/// never needs it.
-using BlackboxInvFn = bool (*)(void *User, const unsigned char *Decoded,
-                               size_t DecodedLen, long long Value,
-                               BlackboxEncOut &Out);
 
 /// One pending level of a flattened linear-recursive rule: the interval
 /// the level parses. 16 bytes per grammar-recursion level (instead of a
@@ -895,30 +877,6 @@ public:
     slotFor(NameId).User = User;
   }
 
-  /// Binds (or rebinds) the INVERSE of the blackbox named by \p NameId
-  /// (Parser::registerBlackboxInverse). Only printTree consults it.
-  void registerBlackboxInverse(unsigned NameId, BlackboxInvFn Fn,
-                               void *User) {
-    slotFor(NameId).InvFn = Fn;
-    slotFor(NameId).InvUser = User;
-  }
-
-  /// Runs the registered inverse over Decoded[0, DecodedLen). Returns
-  /// false when no inverse is registered or the inverse rejects; printing
-  /// reports either as a print error (there is no parse to hard-fail).
-  bool callBlackboxInverse(unsigned NameId, const unsigned char *Decoded,
-                           size_t DecodedLen, long long Value,
-                           BlackboxEncOut &Out) const {
-    for (const BlackboxSlot &S : Blackboxes)
-      if (S.NameId == NameId) {
-        if (!S.InvFn)
-          return false;
-        Out = BlackboxEncOut();
-        return S.InvFn(S.InvUser, Decoded, DecodedLen, Value, Out);
-      }
-    return false;
-  }
-
   /// Runs the registered blackbox over Data[0, Len). Returns 1 on success
   /// and 0 on failure; an unregistered blackbox and a decoder that claims
   /// to have consumed past its slice are HARD failures (they abort the
@@ -929,7 +887,7 @@ public:
     for (const BlackboxSlot &S : Blackboxes)
       if (S.NameId == NameId) {
         if (!S.Fn)
-          break; // inverse-only slot: the forward direction is unbound
+          break; // registered as null: treat as unbound
         Out = BlackboxOut();
         if (!S.Fn(S.User, Data, Len, Out))
           return 0;
@@ -1000,7 +958,6 @@ public:
     N.Kind = Node::KArray;
     N.C = this;
     N.NameId = ElemNameId;
-    N.Name = name(ElemNameId);
     N.KidIds = A.copyArray(Ids.data(), Ids.size());
     N.NumKids = static_cast<unsigned>(Ids.size());
     return add(N);
@@ -1065,12 +1022,11 @@ public:
     N.Kind = Node::KNode;
     N.C = this;
     N.NameId = NameId;
-    N.Name = name(NameId);
     N.Slots = A.copyArray(S, 3);
     N.NumSlots = 3;
     N.KidIds = A.copyArray(Kids, NumKids);
     N.NumKids = NumKids;
-    N.Bb = true; // printTree re-encodes this node through the inverse hook
+    N.Bb = true; // exportTree flags its decoded leaf for copying
     ++Frozen;
     return add(N);
   }
@@ -1085,8 +1041,6 @@ private:
     unsigned NameId = 0;
     BlackboxFn Fn = nullptr;
     void *User = nullptr;
-    BlackboxInvFn InvFn = nullptr;
-    void *InvUser = nullptr;
   };
 
   BlackboxSlot &slotFor(unsigned NameId) {
@@ -1270,8 +1224,8 @@ inline Frame &Ctx::frameAt(size_t Depth) {
 }
 
 inline unsigned Ctx::freeze(Frame &F, unsigned NameId) {
-  // Fold the frame's start/end fields back into the frozen env (the
-  // canonical dump sorts attributes, so their position is immaterial).
+  // Fold the frame's start/end fields back into the frozen env (every
+  // reader looks attributes up by id, so their position is immaterial).
   size_t Extra = (F.HasStart ? 1u : 0u) + (F.HasEnd ? 1u : 0u);
   size_t Num = F.E.size() + Extra;
   AttrSlot *Slots = nullptr;
@@ -1289,7 +1243,6 @@ inline unsigned Ctx::freeze(Frame &F, unsigned NameId) {
   N.Kind = Node::KNode;
   N.C = this;
   N.NameId = NameId;
-  N.Name = name(NameId);
   N.Slots = Slots;
   N.NumSlots = static_cast<unsigned>(Num);
   N.KidIds = A.copyArray(F.Kids.data(), F.Kids.size());
@@ -1391,60 +1344,6 @@ inline bool runMachine(Ctx &C, const StepFn *Fns, const unsigned *NameIds,
     S.back().ChildNode = NodeId;
   }
   return false;
-}
-
-//===----------------------------------------------------------------------===//
-// Canonical tree dump — the differential-testing contract. The interpreter
-// side (tests/differential_test.cpp) renders its ParseTree in exactly this
-// format; any byte difference is a semantic divergence.
-//===----------------------------------------------------------------------===//
-
-/// Iterative preorder: tree depth equals grammar recursion depth, so a
-/// megabyte-deep linear spine must not recurse on the C stack here either.
-inline void dumpTreeInto(const Node *Root, int Indent, std::string &Out) {
-  std::vector<std::pair<const Node *, int>> Stack;
-  Stack.emplace_back(Root, Indent);
-  std::vector<std::pair<std::string, long long>> Attrs;
-  while (!Stack.empty()) {
-    const Node *N = Stack.back().first;
-    int Ind = Stack.back().second;
-    Stack.pop_back();
-    Out.append(static_cast<size_t>(Ind) * 2, ' ');
-    switch (N->Kind) {
-    case Node::KLeaf:
-      Out += "Leaf off=" + std::to_string(N->Off) +
-             " len=" + std::to_string(N->Len) +
-             " opaque=" + (N->Opaque ? "1" : "0") + "\n";
-      continue;
-    case Node::KArray:
-      Out += "Array " + std::string(N->Name) + " x" +
-             std::to_string(N->NumKids) + "\n";
-      break;
-    case Node::KNode: {
-      Out += "Node " + std::string(N->Name) + " {";
-      Attrs.clear();
-      for (unsigned I = 0; I < N->NumSlots; ++I)
-        Attrs.emplace_back(N->C->name(N->Slots[I].Id), N->slotValue(I));
-      std::sort(Attrs.begin(), Attrs.end());
-      for (size_t I = 0; I < Attrs.size(); ++I) {
-        if (I)
-          Out += ", ";
-        Out += Attrs[I].first + "=" + std::to_string(Attrs[I].second);
-      }
-      Out += "}\n";
-      break;
-    }
-    }
-    for (unsigned I = N->NumKids; I-- > 0;)
-      Stack.emplace_back(N->kid(I), Ind + 1);
-  }
-}
-
-inline std::string dumpTree(const Node *Root) {
-  std::string Out;
-  if (Root)
-    dumpTreeInto(Root, 0, Out);
-  return Out;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1556,226 +1455,6 @@ inline void exportTree(Ctx &C, unsigned Root, ExportFn Fn, void *User) {
     }
     Fn(User, &R);
   }
-}
-
-//===----------------------------------------------------------------------===//
-// Tree serializer — the generated twin of serialize/Printer.cpp, embedded
-// into every generated parser so both execution modes can prove
-// parse(print(tree)) round-trips. The walk runs T-NTSucc's coordinate
-// model backwards: each child edge contributes its lazy Shift delta, the
-// accumulated origin places every leaf absolutely, leaves copy their
-// zero-copy windows, and blackbox nodes (Node::Bb) re-emit their consumed
-// window through the inverse hook (Ctx::callBlackboxInverse). Overlapping
-// writes (memoized subtrees re-anchored under several parents) must agree
-// byte-for-byte; uncovered bytes are gaps — fatal in strict mode, filled
-// from a caller-supplied background otherwise.
-//===----------------------------------------------------------------------===//
-
-struct PrintOptions {
-  /// Fail on any uncovered byte. When false, gaps fill from Background
-  /// (whose length fixes the output size).
-  bool Strict = true;
-  const unsigned char *Background = nullptr;
-  size_t BackgroundLen = 0;
-};
-
-struct PrintOut {
-  std::vector<unsigned char> Bytes;
-  size_t CoveredBytes = 0;
-  size_t GapBytes = 0;
-  size_t OverlapBytes = 0;
-  size_t BlackboxBytes = 0;
-  std::string Error; ///< set when printTree returns false
-};
-
-class TreePrinter {
-public:
-  TreePrinter(const PrintOptions &O, PrintOut &R) : O(O), R(R) {
-    if (!O.Strict) {
-      R.Bytes.assign(O.BackgroundLen, 0);
-      Covered.assign(O.BackgroundLen, 0);
-    }
-  }
-
-  bool run(const Node *Root) {
-    if (!Root)
-      return fail("cannot print a null tree");
-    if (Root->Kind == Node::KArray)
-      return fail("cannot print a bare array root");
-    if (Root->Kind == Node::KLeaf)
-      return writeBytes(Root->Off, Root->Data, Root->Len);
-    if (!walkNode(Root, Root->Shift))
-      return false;
-    return finish();
-  }
-
-private:
-  const PrintOptions &O;
-  PrintOut &R;
-  std::vector<unsigned char> Covered;
-
-  bool fail(const std::string &Msg) {
-    R.Error = Msg;
-    return false;
-  }
-
-  bool writeBytes(long long Abs, const unsigned char *Data, size_t Len) {
-    if (Abs < 0)
-      return fail("print placed bytes at negative offset " +
-                  std::to_string(Abs));
-    size_t At = static_cast<size_t>(Abs);
-    if (At + Len > R.Bytes.size()) {
-      R.Bytes.resize(At + Len, 0);
-      Covered.resize(At + Len, 0);
-    }
-    for (size_t I = 0; I < Len; ++I) {
-      if (Covered[At + I]) {
-        if (R.Bytes[At + I] != Data[I])
-          return fail("overlapping writes disagree at output offset " +
-                      std::to_string(At + I));
-        ++R.OverlapBytes;
-        continue;
-      }
-      R.Bytes[At + I] = Data[I];
-      Covered[At + I] = 1;
-      ++R.CoveredBytes;
-    }
-    return true;
-  }
-
-  /// Raw (base-local) start/end of \p N: the frozen slots hold base
-  /// coordinates; Shift maps them into the parent frame, which is not
-  /// the frame leaf offsets under N live in.
-  static bool localSpan(const Node *N, long long &S, long long &E) {
-    bool HasS = false, HasE = false;
-    for (unsigned I = 0; I < N->NumSlots; ++I) {
-      if (N->Slots[I].Id == IdStart) {
-        S = N->Slots[I].V;
-        HasS = true;
-      } else if (N->Slots[I].Id == IdEnd) {
-        E = N->Slots[I].V;
-        HasE = true;
-      }
-    }
-    return HasS && HasE;
-  }
-
-  bool writeBlackbox(const Node *N, long long BaseOrigin) {
-    long long S = 0, E = 0, Val = 0;
-    bool HasVal = false;
-    for (unsigned I = 0; I < N->NumSlots; ++I)
-      if (N->Slots[I].Id != IdStart && N->Slots[I].Id != IdEnd) {
-        Val = N->Slots[I].V;
-        HasVal = true;
-      }
-    std::string Name(N->Name ? N->Name : "?");
-    if (!localSpan(N, S, E) || !HasVal)
-      return fail("blackbox node '" + Name +
-                  "' lacks val/start/end attributes");
-
-    const unsigned char *Decoded = nullptr;
-    size_t DecodedLen = 0;
-    for (unsigned I = 0; I < N->NumKids; ++I) {
-      const Node *K = N->kid(I);
-      if (K->Kind == Node::KLeaf) {
-        Decoded = K->Data;
-        DecodedLen = K->Len;
-      }
-    }
-
-    if (E <= S) {
-      // Untouched encoding ([sub-EOI, 0)): nothing was consumed.
-      if (DecodedLen)
-        return fail("blackbox node '" + Name +
-                    "' consumed no bytes but has decoded output");
-      return true;
-    }
-
-    BlackboxEncOut Enc;
-    if (!N->C->callBlackboxInverse(N->NameId, Decoded, DecodedLen, Val,
-                                   Enc))
-      return fail("blackbox inverse '" + Name +
-                  "' is not registered or failed");
-    if (static_cast<long long>(Enc.Len) != E - S)
-      return fail("blackbox inverse '" + Name + "' produced " +
-                  std::to_string(Enc.Len) + " bytes for a window of " +
-                  std::to_string(E - S));
-    R.BlackboxBytes += Enc.Len;
-    return writeBytes(BaseOrigin + S, Enc.Data, Enc.Len);
-  }
-
-  /// \p BaseOrigin: absolute position of N's base-local frame origin
-  /// (parent origin + this edge's Shift). Iterative preorder (children
-  /// pushed reversed to keep the left-to-right write order): tree depth
-  /// equals grammar recursion depth, which may be far beyond what the C
-  /// stack holds.
-  bool walkNode(const Node *Root, long long RootOrigin) {
-    std::vector<std::pair<const Node *, long long>> Stack;
-    Stack.emplace_back(Root, RootOrigin);
-    while (!Stack.empty()) {
-      const Node *N = Stack.back().first;
-      long long BaseOrigin = Stack.back().second;
-      Stack.pop_back();
-      if (N->Bb) {
-        if (!writeBlackbox(N, BaseOrigin))
-          return false;
-        continue;
-      }
-      if (N->Kind == Node::KLeaf) {
-        if (!writeBytes(BaseOrigin + N->Off, N->Data, N->Len))
-          return false;
-        continue;
-      }
-      for (unsigned I = N->NumKids; I-- > 0;) {
-        const Node *K = N->kid(I);
-        switch (K->Kind) {
-        case Node::KLeaf:
-          // Deferred like the node children so writes stay in DFS order.
-          Stack.emplace_back(K, BaseOrigin);
-          break;
-        case Node::KNode:
-          Stack.emplace_back(K, BaseOrigin + K->Shift);
-          break;
-        case Node::KArray:
-          // Arrays carry no shift of their own; element views are shifted
-          // relative to this node's base frame.
-          for (unsigned J = K->NumKids; J-- > 0;)
-            Stack.emplace_back(K->kid(J), BaseOrigin + K->kid(J)->Shift);
-          break;
-        }
-      }
-    }
-    return true;
-  }
-
-  bool finish() {
-    if (O.Strict) {
-      for (size_t I = 0; I < R.Bytes.size(); ++I)
-        if (!Covered[I])
-          return fail("no leaf covers output offset " + std::to_string(I) +
-                      " (tree is not print-exact)");
-      return true;
-    }
-    if (R.Bytes.size() > O.BackgroundLen)
-      return fail("print wrote past the background (" +
-                  std::to_string(R.Bytes.size()) + " > " +
-                  std::to_string(O.BackgroundLen) + " bytes)");
-    for (size_t I = 0; I < R.Bytes.size(); ++I) {
-      if (Covered[I])
-        continue;
-      R.Bytes[I] = O.Background[I];
-      ++R.GapBytes;
-    }
-    return true;
-  }
-};
-
-/// Serializes \p Root back into bytes; false leaves the diagnostic in
-/// \p R.Error. Blackbox formats must have registered inverses
-/// (Parser::registerBlackboxInverse) for every blackbox the tree reached.
-inline bool printTree(const Node *Root, const PrintOptions &O,
-                      PrintOut &R) {
-  return TreePrinter(O, R).run(Root);
 }
 
 } // namespace ipg_rt

@@ -6,12 +6,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The canonical rendering of a host (interpreter-side) parse tree —
-/// byte-for-byte the format of ipg_rt::dumpTree in support/GenRuntime.h,
-/// which generated parsers embed. Attributes sort by (name, value);
-/// children print in execution order. Shared by the differential harness
-/// and the engine/service tests so every suite compares trees the same
-/// way.
+/// The canonical rendering of a host parse tree — the one tree dump of
+/// the test suites, for all three engines (a generated parser's tree is
+/// a host tree too, rebuilt by GenEngine). Attributes sort by (name,
+/// value); children print in execution order. Shared by the
+/// differential harness and the engine/service tests so every suite
+/// compares trees the same way.
 ///
 //===----------------------------------------------------------------------===//
 

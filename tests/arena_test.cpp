@@ -110,8 +110,7 @@ TEST(TreeStoreTest, NodesStableAcrossGrowth) {
   E.set(/*Symbol=*/1, 42);
   std::vector<const ParseTree *> Made;
   for (int I = 0; I < 2000; ++I) {
-    uint32_t Id = Store.makeNode(/*Name=*/7, /*Rule=*/0, E, nullptr,
-                                 nullptr, 0);
+    uint32_t Id = Store.makeNode(/*Name=*/7, /*Rule=*/0, E, nullptr, 0);
     EXPECT_EQ(Id, static_cast<uint32_t>(I));
     Made.push_back(Store.node(Id));
   }
@@ -129,12 +128,12 @@ TEST(TreeStoreTest, ResetReusesMemory) {
   Env E;
   E.set(1, 5);
   for (int I = 0; I < 500; ++I)
-    Store.makeNode(3, 0, E, nullptr, nullptr, 0);
+    Store.makeNode(3, 0, E, nullptr, 0);
   size_t Reserved = Store.arenaBytesReserved();
   Store.reset();
   EXPECT_EQ(Store.nodeCount(), 0u);
   for (int I = 0; I < 500; ++I)
-    Store.makeNode(3, 0, E, nullptr, nullptr, 0);
+    Store.makeNode(3, 0, E, nullptr, 0);
   EXPECT_EQ(Store.arenaBytesReserved(), Reserved);
 }
 
@@ -143,12 +142,11 @@ TEST(TreeStoreTest, ShiftedNodeSharesChildrenAndShiftsOnlyStartEnd) {
   const Symbol SymStart = 100, SymEnd = 101, SymOther = 102;
   uint32_t Leaf = Store.makeLeafCopy("ab", 2, 0);
   uint32_t Kids[1] = {Leaf};
-  uint32_t Terms[1] = {0};
   Env E;
   E.set(SymStart, 1);
   E.set(SymEnd, 3);
   E.set(SymOther, 9);
-  uint32_t Base = Store.makeNode(5, 0, E, Kids, Terms, 1);
+  uint32_t Base = Store.makeNode(5, 0, E, Kids, 1);
   const auto *N = cast<NodeTree>(Store.node(Base));
   uint32_t Shifted = Store.makeShifted(Base, 10, SymStart, SymEnd);
   ASSERT_NE(Shifted, Base);
@@ -178,7 +176,7 @@ TEST(TreeStoreTest, ShiftedViewsNestAndAliasWithoutCopying) {
   Env E;
   E.set(SymStart, 1);
   E.set(SymEnd, 3);
-  uint32_t Base = Store.makeNode(5, 0, E, nullptr, nullptr, 0);
+  uint32_t Base = Store.makeNode(5, 0, E, nullptr, 0);
   const auto *N = cast<NodeTree>(Store.node(Base));
 
   // A zero delta needs no view object at all: the base is its own view.
@@ -219,7 +217,7 @@ TEST(TreeStoreTest, ComposedShiftChainsResolveAtDepthThreePlus) {
   E.set(SymStart, 4);
   E.set(SymEnd, 7);
   E.set(SymOther, -2);
-  uint32_t Base = Store.makeNode(5, 0, E, nullptr, nullptr, 0);
+  uint32_t Base = Store.makeNode(5, 0, E, nullptr, 0);
 
   // A four-level chain with mixed-sign deltas: each level is a view of
   // the PREVIOUS VIEW (not of the base), and every read resolves the

@@ -8,28 +8,30 @@
 /// \file
 /// The Section 7 parser generator: emitted code is checked structurally
 /// (one function per nonterminal, no library dependencies) and — where a
-/// host compiler is available — compiled and executed against the same
-/// inputs the engine accepts/rejects.
+/// host compiler is available — compiled into an in-process GenModule
+/// and run against the same inputs the interpreter accepts/rejects.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "codegen/CppEmitter.h"
+#include "codegen/GenEngine.h"
 
-#include "CodegenTestHarness.h"
+#include "TreeCanonical.h"
 #include "analysis/AttributeCheck.h"
 #include "formats/Elf.h"
 #include "runtime/Interp.h"
+#include "support/Casting.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 using namespace ipg;
-using testutil::hostCompilerAvailable;
+using testutil::renderCanonical;
 
 namespace {
 
@@ -41,27 +43,19 @@ Grammar load(const char *Src) {
   return std::move(R->G);
 }
 
-/// Writes the generated parser + a driver main, compiles, and runs it on
-/// \p Input; returns the executable's exit code (0 = accepted) or -1 on
-/// infrastructure failure.
-int compileAndRun(const std::string &Generated,
-                  const std::vector<uint8_t> &Input,
-                  const std::string &ExtraMain, const std::string &Tag) {
-  std::string Source =
-      Generated +
-      "\n#include <cstdio>\n#include <fstream>\n"
-      "int main(int argc, char **argv) {\n"
-      "  if (argc < 2) return 3;\n"
-      "  std::ifstream In(argv[1], std::ios::binary);\n"
-      "  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),"
-      " std::istreambuf_iterator<char>());\n"
-      "  gen::NodePtr Root;\n"
-      "  if (!gen::parse(Bytes.data(), Bytes.size(), Root)) return 1;\n" +
-      ExtraMain + "  return 0;\n}\n";
-  std::string Exe = testutil::compileParserSource(Source, Tag);
-  if (Exe.empty())
-    return -1;
-  return testutil::runChild(Exe, Tag, Input);
+/// \p G compiled into an in-process generated engine (\p Config adds a
+/// blackbox bridge), or null after a test failure.
+std::unique_ptr<Engine> compileEngine(const Grammar &G,
+                                      const GenModuleConfig &Config = {}) {
+  auto M = GenModule::compile(G, EngineOptions(), Config);
+  EXPECT_TRUE(M) << M.message();
+  if (!M)
+    return nullptr;
+  return std::make_unique<GenEngine>(std::move(*M), G);
+}
+
+std::vector<uint8_t> bytesOf(const std::string &S) {
+  return std::vector<uint8_t>(S.begin(), S.end());
 }
 
 } // namespace
@@ -121,13 +115,19 @@ TEST(CodegenTest, BlackboxGrammarsCompileAndUseTheRegistrationHook) {
   EXPECT_NE(Code->find("callBlackbox"), std::string::npos);
   EXPECT_NE(Code->find("registerBlackbox"), std::string::npos);
 
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
-  // A driver-registered blackbox resolves: it consumes 2 bytes, reports
+  // A bridge-registered blackbox resolves: it consumes 2 bytes, reports
   // value 7, and decodes output bytes that become a leaf child. The
-  // attribute plumbing (v = bb.val) must see the reported value.
-  std::string Bridge =
+  // attribute plumbing (v = bb.val) must see the reported value. The
+  // registration function also proves registerBlackbox rejects every
+  // name the grammar does not declare as a blackbox (an unknown name,
+  // the rule name, an attribute): if any of them binds, it leaves `bb`
+  // unbound and the parse below fails.
+  GenModuleConfig Config;
+  Config.RegisterBlackboxes = true;
+  Config.BridgeSource =
       "static bool testBb(void *, const unsigned char *, size_t Len,\n"
       "                   ipg_rt::BlackboxOut &Out) {\n"
       "  static const unsigned char Decoded[3] = {9, 9, 9};\n"
@@ -135,41 +135,34 @@ TEST(CodegenTest, BlackboxGrammarsCompileAndUseTheRegistrationHook) {
       "  Out.Value = 7; Out.End = 2;\n"
       "  Out.Output = Decoded; Out.OutputLen = 3;\n"
       "  return true;\n"
+      "}\n"
+      "template <class ParserT> void ipgRegisterBlackboxes(ParserT &P) {\n"
+      "  if (P.registerBlackbox(\"no_such_blackbox\", testBb) ||\n"
+      "      P.registerBlackbox(\"S\", testBb) ||\n"
+      "      P.registerBlackbox(\"v\", testBb))\n"
+      "    return;\n"
+      "  P.registerBlackbox(\"bb\", testBb);\n"
       "}\n";
-  std::string Source =
-      *Code + Bridge +
-      "\n#include <cstdio>\n#include <fstream>\n"
-      "int main(int argc, char **argv) {\n"
-      "  if (argc < 2) return 3;\n"
-      "  std::ifstream In(argv[1], std::ios::binary);\n"
-      "  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),"
-      " std::istreambuf_iterator<char>());\n"
-      "  gen::Parser P;\n"
-      "  bool Registered = argc > 2 && argv[2][0] == 'r';\n"
-      "  if (Registered && !P.registerBlackbox(\"bb\", testBb)) return 4;\n"
-      "  if (P.registerBlackbox(\"no_such_blackbox\", testBb)) return 5;\n"
-      "  // Grammar symbols that are not declared blackboxes (the rule\n"
-      "  // name, an attribute) must be rejected, not silently bound.\n"
-      "  if (P.registerBlackbox(\"S\", testBb)) return 5;\n"
-      "  if (P.registerBlackbox(\"v\", testBb)) return 5;\n"
-      "  gen::NodePtr Root = nullptr;\n"
-      "  if (!P.parse(Bytes.data(), Bytes.size(), Root)) return 1;\n"
-      "  long long V = 0;\n"
-      "  if (!Root->get(\"v\", V) || V != 7) return 6;\n"
-      "  std::string D = gen::dumpTree(Root);\n"
-      "  if (D.find(\"Node bb\") == std::string::npos) return 7;\n"
-      "  if (D.find(\"Leaf off=0 len=3\") == std::string::npos) return 8;\n"
-      "  return 0;\n}\n";
-  std::string Exe = testutil::compileParserSource(Source, "bb_hook");
-  ASSERT_FALSE(Exe.empty());
+  auto E = compileEngine(G, Config);
+  ASSERT_NE(E, nullptr);
   std::vector<uint8_t> In = {1, 2, 3, 4};
-  EXPECT_EQ(testutil::runChild(Exe, "bb_hook", In, "r"), 0);
-  // Unregistered: the blackbox term hard-fails the parse at run time.
-  EXPECT_EQ(testutil::runChild(Exe, "bb_hook", In), 1);
+  auto R = E->parse(ByteSpan::of(In));
+  ASSERT_TRUE(R) << R.message();
+  const auto *Root = cast<NodeTree>(R->get());
+  EXPECT_EQ(Root->attr(G.interner().lookup("v")).value_or(-1), 7);
+  std::string D = renderCanonical(*R, G);
+  EXPECT_NE(D.find("Node bb"), std::string::npos) << D;
+  EXPECT_NE(D.find("Leaf off=0 len=3"), std::string::npos) << D;
+
+  // Unregistered: the same grammar without the bridge hard-fails the
+  // parse at run time.
+  auto NoBridge = compileEngine(G);
+  ASSERT_NE(NoBridge, nullptr);
+  EXPECT_FALSE(NoBridge->parse(ByteSpan::of(In)));
 }
 
 TEST(CodegenTest, CompiledParserAgreesOnToyGrammar) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
   Grammar G = load(R"(
     S -> check(EOI % 3 = 0) {n = EOI / 3} A[0, n] B[n, 2 * n] C[2 * n, 3 * n] ;
@@ -177,47 +170,37 @@ TEST(CodegenTest, CompiledParserAgreesOnToyGrammar) {
     B -> "b"[0, 1] B[1, EOI] / "b"[0, 1] ;
     C -> "c"[0, 1] C[1, EOI] / "c"[0, 1] ;
   )");
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-
-  std::string Good = "aaabbbccc";
-  EXPECT_EQ(compileAndRun(*Code,
-                          std::vector<uint8_t>(Good.begin(), Good.end()), "",
-                          "anbncn_good"),
-            0);
-  std::string Bad = "aaabbbbcc";
-  EXPECT_EQ(compileAndRun(*Code,
-                          std::vector<uint8_t>(Bad.begin(), Bad.end()), "",
-                          "anbncn_bad"),
-            1);
+  auto E = compileEngine(G);
+  ASSERT_NE(E, nullptr);
+  EXPECT_TRUE(E->parse(ByteSpan::of(bytesOf("aaabbbccc"))));
+  EXPECT_FALSE(E->parse(ByteSpan::of(bytesOf("aaabbbbcc"))));
 }
 
 TEST(CodegenTest, CompiledParserComputesAttributes) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
   Grammar G = load(R"(
     Int -> Int[0, EOI - 1] Digit[EOI - 1, EOI] {val = 2 * Int.val + Digit.val}
          / Digit[0, 1] {val = Digit.val} ;
     Digit -> "0"[0, 1] {val = 0} / "1"[0, 1] {val = 1} ;
   )");
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  // The driver checks Int.val == 45 for input "101101".
-  std::string Check = "  long long V = 0;\n"
-                      "  if (!Root->get(\"val\", V) || V != 45) return 2;\n";
-  std::string In = "101101";
-  EXPECT_EQ(compileAndRun(*Code, std::vector<uint8_t>(In.begin(), In.end()),
-                          Check, "binint"),
-            0);
+  auto E = compileEngine(G);
+  ASSERT_NE(E, nullptr);
+  // Int.val == 45 for input "101101".
+  std::vector<uint8_t> In = bytesOf("101101");
+  auto R = E->parse(ByteSpan::of(In));
+  ASSERT_TRUE(R) << R.message();
+  EXPECT_EQ(cast<NodeTree>(R->get())->attr(G.symVal()).value_or(-1), 45);
 }
 
 TEST(CodegenTest, CompiledElfParserAgreesWithEngine) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
-  auto R = formats::loadElfGrammar();
-  ASSERT_TRUE(R) << R.message();
-  auto Code = emitCppParser(R->G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
+  auto L = formats::loadElfGrammar();
+  ASSERT_TRUE(L) << L.message();
+  const Grammar &G = L->G;
+  auto E = compileEngine(G);
+  ASSERT_NE(E, nullptr);
 
   formats::ElfSynthSpec Spec;
   Spec.NumSymbols = 5;
@@ -226,19 +209,19 @@ TEST(CodegenTest, CompiledElfParserAgreesWithEngine) {
   auto Bytes = formats::synthesizeElf(Spec, &Model);
 
   // Engine accepts; generated parser must too, with the same header attrs.
-  Interp I(R->G);
+  Interp I(G);
   ASSERT_TRUE(I.parse(ByteSpan::of(Bytes)));
-  std::string Check =
-      "  gen::Node *H = Root->children().empty() ? nullptr : "
-      "Root->children()[0].get();\n"
-      "  if (!H) return 2;\n"
-      "  long long Num = 0;\n"
-      "  if (!H->get(\"num\", Num) || Num != " +
-      std::to_string(Model.ShNum) + ") return 2;\n";
-  EXPECT_EQ(compileAndRun(*Code, Bytes, Check, "elf_good"), 0);
+  auto R = E->parse(ByteSpan::of(Bytes));
+  ASSERT_TRUE(R) << R.message();
+  const auto *Root = cast<NodeTree>(R->get());
+  ASSERT_FALSE(Root->children().empty());
+  const auto *H = dyn_cast<NodeTree>(Root->children()[0].get());
+  ASSERT_NE(H, nullptr);
+  EXPECT_EQ(H->attr(G.interner().lookup("num")).value_or(-1),
+            static_cast<int64_t>(Model.ShNum));
 
   auto Bad = Bytes;
   Bad[1] = 'X';
-  EXPECT_FALSE(Interp(R->G).parse(ByteSpan::of(Bad)));
-  EXPECT_EQ(compileAndRun(*Code, Bad, "", "elf_bad"), 1);
+  EXPECT_FALSE(Interp(G).parse(ByteSpan::of(Bad)));
+  EXPECT_FALSE(E->parse(ByteSpan::of(Bad)));
 }

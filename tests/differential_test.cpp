@@ -9,14 +9,13 @@
 /// The differential harness: EVERY format corpus — blackbox formats
 /// included, via the ipg_rt registration hook and the bridges in
 /// formats::genBlackboxBridge — is parsed by ALL THREE engines (the
-/// interpreter, the compiled generated parser, and the bytecode VM over
-/// the lowered IR), and the trees are compared node-by-node
-/// — shape, node names, start/end, every attribute value, leaf windows.
-/// The comparison goes through one canonical text rendering
-/// (ipg_rt::dumpTree, embedded in every generated parser; renderCanonical
-/// below produces the identical format from the interpreter's ParseTree),
-/// so any byte of difference is a semantic divergence between
-/// runtime/Interp.cpp and codegen/CppEmitter.cpp. Memoized and
+/// interpreter, the generated parser loaded in-process as a GenEngine,
+/// and the bytecode VM over the lowered IR), and the trees are compared
+/// node-by-node — shape, node names, start/end, every attribute value,
+/// leaf windows. Every engine hands back a host ParseTree, so one
+/// canonical text rendering (testutil::renderCanonical) compares them
+/// all, and any byte of difference is a semantic divergence between
+/// runtime/ParseSkeleton.h and codegen/CppEmitter.cpp. Memoized and
 /// unmemoized generated parsers are also compared against each other:
 /// the memo table must never change a parse result.
 ///
@@ -26,17 +25,18 @@
 /// literal "EOI" env entry (X.EOI of a node that defines no such
 /// attribute must fail, not answer the child's window size).
 ///
-/// Tests that need a host C++ compiler skip gracefully without one, as
-/// codegen_test.cpp does. Under -DIPG_SANITIZE=ON the generated parsers
-/// are themselves compiled with ASan+UBSan (IPG_SANITIZE_BUILD), so the
-/// CI sanitizer job proves generated code sanitizer-clean too.
+/// Tests that need a host C++ compiler skip gracefully without one. Each
+/// format's module is compiled once per run (tests/GenModuleCache.h).
+/// Under -DIPG_SANITIZE=ON the modules are compiled with ASan+UBSan too
+/// (GenModule matches the host build), so the CI sanitizer job proves
+/// generated code sanitizer-clean.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/CppEmitter.h"
+#include "codegen/GenEngine.h"
 
-#include "CodegenTestHarness.h"
 #include "CorruptCorpus.h"
+#include "GenModuleCache.h"
 #include "TreeCanonical.h"
 #include "formats/FormatRegistry.h"
 #include "formats/Pdf.h"
@@ -44,19 +44,17 @@
 #include "runtime/Interp.h"
 #include "support/Casting.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <gtest/gtest.h>
-#include <sstream>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 using namespace ipg;
-using testutil::hostCompilerAvailable;
+using testutil::generatedEngine;
+using testutil::renderCanonical;
 
 namespace {
 
@@ -68,99 +66,52 @@ Grammar load(const char *Src) {
   return std::move(R->G);
 }
 
-// The canonical interpreter-tree rendering (byte-for-byte the generated
-// side's ipg_rt::dumpTree format) lives in tests/TreeCanonical.h, shared
-// with engine_test and service_test.
-using testutil::renderCanonical;
-
-/// Compiles \p Generated with a driver that parses argv[1] and writes the
-/// generated runtime's canonical dump to argv[2]. Exit codes: 0 accepted,
-/// 1 rejected, >=2 infrastructure trouble. Returns false on compile
-/// failure (with the log on stderr). For blackbox formats \p Bridge
-/// supplies the registration source and decoder translation units
-/// (formats::genBlackboxBridge), so e.g. zip's generated parser resolves
-/// `inflate` from the same MiniZlib implementation the interpreter uses.
-struct GenRun {
-  int ExitCode = -1;
-  std::string Dump;
-};
-
-bool compileGenerated(const std::string &Generated, const std::string &Tag,
-                      std::string &ExeOut,
-                      const formats::GenBlackboxBridge *Bridge = nullptr) {
-  std::string Source = Generated;
-  if (Bridge)
-    Source += Bridge->DriverSource;
-  Source +=
-      "\n#include <cstdio>\n#include <fstream>\n"
-      "int main(int argc, char **argv) {\n"
-      "  if (argc < 3) return 3;\n"
-      "  std::ifstream In(argv[1], std::ios::binary);\n"
-      "  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),"
-      " std::istreambuf_iterator<char>());\n"
-      "  gen::Parser P;\n" +
-      std::string(Bridge ? "  ipgRegisterBlackboxes(P);\n" : "") +
-      "  gen::NodePtr Root = nullptr;\n"
-      "  if (!P.parse(Bytes.data(), Bytes.size(), Root)) return 1;\n"
-      "  std::ofstream Out(argv[2], std::ios::binary);\n"
-      "  Out << gen::dumpTree(Root);\n"
-      "  return Out ? 0 : 3;\n}\n";
-  ExeOut = testutil::compileParserSource(
-      Source, Tag,
-      Bridge ? testutil::bridgeCompileArgs(Bridge->ExtraSources) : "");
-  return !ExeOut.empty();
+/// A generated engine over a test grammar (the regression grammars below
+/// are one-offs, so there is nothing to share).
+std::unique_ptr<Engine> genEngine(const Grammar &G,
+                                  const EngineOptions &Opts = {}) {
+  auto E = makeEngine(EngineKind::Generated, G, nullptr, Opts);
+  EXPECT_TRUE(E) << E.message();
+  return E ? std::move(*E) : nullptr;
 }
 
-GenRun runGenerated(const std::string &Exe, const std::string &Tag,
-                    const std::vector<uint8_t> &Input) {
-  GenRun R;
-  std::string DumpPath = testutil::childDir(Tag) + "/dump.txt";
-  std::remove(DumpPath.c_str());
-  R.ExitCode = testutil::runChild(Exe, Tag, Input, DumpPath);
-  std::ifstream Dump(DumpPath, std::ios::binary);
-  std::stringstream SS;
-  SS << Dump.rdbuf();
-  R.Dump = SS.str();
-  return R;
+/// The canonical dump of \p E's parse of \p In, or "" when it rejects.
+std::string genDump(Engine &E, const std::vector<uint8_t> &In) {
+  auto R = E.parse(ByteSpan::of(In));
+  return R ? renderCanonical(*R, E.grammar()) : std::string();
 }
 
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// The corpus sweep: interpreter == generated on EVERY format. Blackbox
-// formats (zip) participate through the registration hook: the child
-// compiles the same MiniZlib decoder the interpreter registers and binds
-// it with Parser::registerBlackbox.
+// The corpus sweep: interpreter == generated == VM on EVERY format.
+// Blackbox formats (zip) participate through the registration hook: the
+// module compiles the same MiniZlib decoder the interpreter registers and
+// binds it with Parser::registerBlackbox.
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, AllFormatCorporaAgree) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
   size_t Compared = 0;
   for (const formats::FormatInfo &FI : formats::allFormats()) {
     SCOPED_TRACE("format: " + FI.Name);
 
-    // One factory call replaces the old loadFormatGrammar +
-    // standardBlackboxes + Interp boilerplate; the loaded grammar rides
-    // along for the emitter.
     auto FE = formats::makeFormatEngine(FI.Name, EngineKind::Interp);
     ASSERT_TRUE(FE) << FE.message();
     const Grammar &G = FE->Load->G;
-    auto Code = emitCppParser(G, "gen");
-    ASSERT_TRUE(Code) << Code.message();
-    const formats::GenBlackboxBridge *Bridge =
-        formats::genBlackboxBridge(FI.Name);
-    ASSERT_EQ(Bridge != nullptr, FI.NeedsBlackbox);
-    std::string Exe;
-    ASSERT_TRUE(compileGenerated(*Code, FI.Name, Exe, Bridge));
-
+    ASSERT_EQ(formats::genBlackboxBridge(FI.Name) != nullptr,
+              FI.NeedsBlackbox);
+    auto FG = generatedEngine(FI.Name);
+    ASSERT_TRUE(FG) << FG.message();
     // The third engine: the bytecode VM shares the interpreter's runtime
     // core, so beyond tree equality its counters must match exactly.
     auto FV = formats::makeFormatEngine(FI.Name, EngineKind::Vm);
     ASSERT_TRUE(FV) << FV.message();
 
     Engine &I = **FE;
+    Engine &Gen = **FG;
     Engine &V = **FV;
     // Two input sizes per format so array/loop paths differ run-to-run.
     // These scales stay small because each dump is compared as text and
@@ -177,11 +128,15 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
                      << R.message();
       std::string Want = renderCanonical(*R, G);
 
-      GenRun Gen = runGenerated(Exe, FI.Name, Bytes);
-      ASSERT_EQ(Gen.ExitCode, 0)
-          << FI.Name << " corpus rejected by the generated parser";
-      EXPECT_EQ(Want, Gen.Dump)
+      auto RG = Gen.parse(ByteSpan::of(Bytes));
+      ASSERT_TRUE(RG) << FI.Name << " corpus rejected by the generated "
+                      << "parser: " << RG.message();
+      EXPECT_EQ(Want, renderCanonical(*RG, FG->Load->G))
           << FI.Name << ": interpreter and generated trees diverge";
+      EXPECT_EQ(I.stats().NodesCreated, Gen.stats().NodesCreated) << FI.Name;
+      EXPECT_EQ(I.stats().MemoHits, Gen.stats().MemoHits) << FI.Name;
+      EXPECT_EQ(I.stats().MemoMisses, Gen.stats().MemoMisses) << FI.Name;
+      EXPECT_EQ(I.stats().PeakDepth, Gen.stats().PeakDepth) << FI.Name;
 
       auto RV = V.parse(ByteSpan::of(Bytes));
       ASSERT_TRUE(RV) << FI.Name
@@ -207,10 +162,7 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
       EXPECT_LT(I.stats().NodesCreated, AcceptedNodes)
           << FI.Name << ": stats() still shows the previous parse";
     }
-    GenRun GenBad = runGenerated(Exe, FI.Name, Bad);
-    ASSERT_GE(GenBad.ExitCode, 0);
-    ASSERT_LE(GenBad.ExitCode, 1);
-    EXPECT_EQ(InterpAccepts, GenBad.ExitCode == 0)
+    EXPECT_EQ(InterpAccepts, static_cast<bool>(Gen.parse(ByteSpan::of(Bad))))
         << FI.Name << ": accept/reject verdicts diverge on corrupt input";
     EXPECT_EQ(InterpAccepts, static_cast<bool>(V.parse(ByteSpan::of(Bad))))
         << FI.Name << ": interpreter/VM verdicts diverge on corrupt input";
@@ -230,7 +182,7 @@ TEST(DifferentialTest, AllFormatCorporaAgree) {
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, CorruptAtOffsetSweepVerdictsAgree) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
   constexpr size_t ProbesPerFormat = 8;
@@ -241,17 +193,11 @@ TEST(DifferentialTest, CorruptAtOffsetSweepVerdictsAgree) {
     auto FE = formats::makeFormatEngine(FI.Name, EngineKind::Interp);
     ASSERT_TRUE(FE) << FE.message();
     const Grammar &G = FE->Load->G;
-    auto Code = emitCppParser(G, "gen");
-    ASSERT_TRUE(Code) << Code.message();
-    std::string Exe;
-    ASSERT_TRUE(compileGenerated(*Code, "sweep_" + FI.Name, Exe,
-                                 formats::genBlackboxBridge(FI.Name)));
-
     Engine &I = **FE;
-    // The same parser in-process, for its counters: alternative guards
-    // must skip the same alternatives in both engines, so memo traffic,
-    // node counts and depth agree on every mutant too.
-    auto GE = formats::makeFormatEngine(FI.Name, EngineKind::Generated);
+    // Beyond verdicts and trees, the counters: alternative guards must
+    // skip the same alternatives in both engines, so memo traffic, node
+    // counts and depth agree on every mutant too.
+    auto GE = generatedEngine(FI.Name);
     ASSERT_TRUE(GE) << GE.message();
     const std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, 1);
     ASSERT_GE(Bytes.size(), ProbesPerFormat);
@@ -262,18 +208,13 @@ TEST(DifferentialTest, CorruptAtOffsetSweepVerdictsAgree) {
                    std::to_string(P.Off));
       std::vector<uint8_t> Bad = testutil::corruptAt(Bytes, P.Kind, P.Off);
       auto R = I.parse(ByteSpan::of(Bad));
-      GenRun Gen = runGenerated(Exe, "sweep_" + FI.Name, Bad);
-      ASSERT_GE(Gen.ExitCode, 0);
-      ASSERT_LE(Gen.ExitCode, 1);
-      EXPECT_EQ(static_cast<bool>(R), Gen.ExitCode == 0)
+      auto RG = (*GE)->parse(ByteSpan::of(Bad));
+      EXPECT_EQ(static_cast<bool>(R), static_cast<bool>(RG))
           << "accept/reject verdicts diverge";
-      if (R && Gen.ExitCode == 0) {
-        EXPECT_EQ(renderCanonical(*R, G), Gen.Dump)
+      if (R && RG) {
+        EXPECT_EQ(renderCanonical(*R, G), renderCanonical(*RG, GE->Load->G))
             << "both accepted the corruption but built different trees";
       }
-
-      auto RG = (*GE)->parse(ByteSpan::of(Bad));
-      EXPECT_EQ(static_cast<bool>(R), static_cast<bool>(RG));
       const EngineStats &SI = I.stats();
       const EngineStats &SG = (*GE)->stats();
       EXPECT_EQ(SI.ParseVerdict, SG.ParseVerdict);
@@ -368,19 +309,14 @@ TEST(DifferentialTest, VmMatchesInterpreterOnCorruptAtOffsetSweep) {
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, ZipDeflatedEntriesAgreeThroughBlackboxHook) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
   auto FE = formats::makeFormatEngine("zip", EngineKind::Interp);
   ASSERT_TRUE(FE) << FE.message();
   const Grammar &G = FE->Load->G;
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  const formats::GenBlackboxBridge *Bridge =
-      formats::genBlackboxBridge("zip");
-  ASSERT_NE(Bridge, nullptr);
-  std::string Exe;
-  ASSERT_TRUE(compileGenerated(*Code, "zip_deflated", Exe, Bridge));
+  auto FG = generatedEngine("zip");
+  ASSERT_TRUE(FG) << FG.message();
 
   std::vector<uint8_t> Bytes = formats::synthesizeZip(
       formats::zipArchiveOfCopies(4, 2048, /*Compress=*/true));
@@ -390,9 +326,9 @@ TEST(DifferentialTest, ZipDeflatedEntriesAgreeThroughBlackboxHook) {
   // The corpus really exercised the blackbox: inflate nodes are present.
   EXPECT_NE(Want.find("Node inflate"), std::string::npos);
 
-  GenRun Gen = runGenerated(Exe, "zip_deflated", Bytes);
-  ASSERT_EQ(Gen.ExitCode, 0);
-  EXPECT_EQ(Want, Gen.Dump)
+  auto RG = (*FG)->parse(ByteSpan::of(Bytes));
+  ASSERT_TRUE(RG) << RG.message();
+  EXPECT_EQ(Want, renderCanonical(*RG, FG->Load->G))
       << "interpreter and generated trees diverge on deflated zip";
 
   // The VM resolves `inflate` through the same registry the interpreter
@@ -405,11 +341,15 @@ TEST(DifferentialTest, ZipDeflatedEntriesAgreeThroughBlackboxHook) {
       << "interpreter and VM trees diverge on deflated zip";
 
   // An unregistered blackbox is a hard failure, as in the interpreter:
-  // the same child without the bridge registration must reject.
-  std::string NoRegExe;
-  ASSERT_TRUE(compileGenerated(*Code, "zip_noreg", NoRegExe));
-  EXPECT_EQ(runGenerated(NoRegExe, "zip_noreg", Bytes).ExitCode, 1)
+  // the same grammar compiled without the bridge must reject, naming the
+  // blackbox as the failure site.
+  auto NoBridge = genEngine(FG->Load->G);
+  ASSERT_NE(NoBridge, nullptr);
+  EXPECT_FALSE(NoBridge->parse(ByteSpan::of(Bytes)))
       << "a parse reaching an unregistered blackbox must fail";
+  ASSERT_NE(NoBridge->stats().FailRule, InvalidSymbol);
+  EXPECT_EQ(FG->Load->G.interner().name(NoBridge->stats().FailRule),
+            "inflate");
 }
 
 //===----------------------------------------------------------------------===//
@@ -420,40 +360,29 @@ TEST(DifferentialTest, ZipDeflatedEntriesAgreeThroughBlackboxHook) {
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, MemoizedAndUnmemoizedGeneratedParsersAgree) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
+  EngineOptions Off;
+  Off.UseMemo = false;
   for (const char *Name : {"pdf", "gif", "dns"}) {
     SCOPED_TRACE(Name);
-    auto Load = formats::loadFormatGrammar(Name);
-    ASSERT_TRUE(Load) << Load.message();
-
-    auto Memo = emitCppParser(Load->G, "gen");
+    auto Memo = generatedEngine(Name);
     ASSERT_TRUE(Memo) << Memo.message();
-    CppEmitterOptions Off;
-    Off.Engine.UseMemo = false;
-    auto Plain = emitCppParser(Load->G, "gen", Off);
+    auto Plain = generatedEngine(Name, Off);
     ASSERT_TRUE(Plain) << Plain.message();
-    // The ablation really removed the table, not just renamed things.
-    EXPECT_NE(Memo->find("C.memoFind("), std::string::npos);
-    EXPECT_EQ(Plain->find("C.memoFind("), std::string::npos);
-
-    std::string MemoExe, PlainExe;
-    ASSERT_TRUE(compileGenerated(*Memo, std::string(Name) + "_memo",
-                                 MemoExe));
-    ASSERT_TRUE(compileGenerated(*Plain, std::string(Name) + "_nomemo",
-                                 PlainExe));
 
     for (unsigned Scale : {1u, 2u}) {
       SCOPED_TRACE("scale: " + std::to_string(Scale));
       std::vector<uint8_t> Bytes = formats::sampleInput(Name, Scale);
-      GenRun A = runGenerated(MemoExe, std::string(Name) + "_memo", Bytes);
-      GenRun B =
-          runGenerated(PlainExe, std::string(Name) + "_nomemo", Bytes);
-      ASSERT_EQ(A.ExitCode, 0);
-      ASSERT_EQ(B.ExitCode, 0);
-      EXPECT_EQ(A.Dump, B.Dump)
-          << Name << ": memoization changed the parse result";
+      std::string A = genDump(**Memo, Bytes);
+      std::string B = genDump(**Plain, Bytes);
+      ASSERT_FALSE(A.empty());
+      EXPECT_EQ(A, B) << Name << ": memoization changed the parse result";
+      // The ablation really removed the table (codegen_test checks the
+      // emitted code itself).
+      EXPECT_EQ((*Plain)->stats().MemoHits + (*Plain)->stats().MemoMisses,
+                0u);
     }
   }
 }
@@ -472,7 +401,7 @@ TEST(DifferentialTest, MemoizedAndUnmemoizedGeneratedParsersAgree) {
 //===----------------------------------------------------------------------===//
 
 TEST(DifferentialTest, MegabyteCorpusAgreeInProcess) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
   formats::PdfSynthSpec BigObject;
@@ -497,7 +426,7 @@ TEST(DifferentialTest, MegabyteCorpusAgreeInProcess) {
     Opts.MaxDepth = size_t{1} << 21;
     auto IE = formats::makeFormatEngine(Name, EngineKind::Interp, Opts);
     ASSERT_TRUE(IE) << IE.message();
-    auto GE = formats::makeFormatEngine(Name, EngineKind::Generated, Opts);
+    auto GE = generatedEngine(Name, Opts);
     ASSERT_TRUE(GE) << GE.message();
     auto VE = formats::makeFormatEngine(Name, EngineKind::Vm, Opts);
     ASSERT_TRUE(VE) << VE.message();
@@ -582,28 +511,23 @@ TEST(DifferentialTest, UntouchedChildStartIsPartialInInterpreter) {
 }
 
 TEST(DifferentialTest, UntouchedChildStartIsPartialInGenerated) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
   std::vector<uint8_t> In = {'x'};
 
   Grammar G = load(UntouchedChildGrammar);
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  std::string Exe;
-  ASSERT_TRUE(compileGenerated(*Code, "untouched_start", Exe));
-  EXPECT_EQ(runGenerated(Exe, "untouched_start", In).ExitCode, 1)
+  auto E = genEngine(G);
+  ASSERT_NE(E, nullptr);
+  EXPECT_FALSE(E->parse(ByteSpan::of(In)))
       << "generated parser must fail A.start of a byte-untouched child";
 
   Grammar C = load(UntouchedChildControlGrammar);
-  auto CCode = emitCppParser(C, "gen");
-  ASSERT_TRUE(CCode) << CCode.message();
-  std::string CExe;
-  ASSERT_TRUE(compileGenerated(*CCode, "untouched_ctrl", CExe));
-  GenRun R = runGenerated(CExe, "untouched_ctrl", In);
-  EXPECT_EQ(R.ExitCode, 0);
-  // The generated dump shows s=1 on S and no start/end on A.
-  EXPECT_NE(R.Dump.find("s=1"), std::string::npos) << R.Dump;
-  EXPECT_NE(R.Dump.find("Node A {v=1}"), std::string::npos) << R.Dump;
+  auto CE = genEngine(C);
+  ASSERT_NE(CE, nullptr);
+  std::string Dump = genDump(*CE, In);
+  // The generated tree shows s=1 on S and no start/end on A.
+  EXPECT_NE(Dump.find("s=1"), std::string::npos) << Dump;
+  EXPECT_NE(Dump.find("Node A {v=1}"), std::string::npos) << Dump;
 }
 
 //===----------------------------------------------------------------------===//
@@ -696,17 +620,14 @@ TEST(DifferentialTest, BtoiWindowOverflowIsPartialInInterpreter) {
 }
 
 TEST(DifferentialTest, BtoiWindowOverflowIsPartialInGenerated) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
   Grammar G = load(BtoiOverflowGrammar);
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  std::string Exe;
-  ASSERT_TRUE(compileGenerated(*Code, "btoi_overflow", Exe));
-  GenRun R = runGenerated(Exe, "btoi_overflow", {'x'});
-  EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_NE(R.Dump.find("ok=120"), std::string::npos) << R.Dump;
-  EXPECT_EQ(R.Dump.find("v="), std::string::npos) << R.Dump;
+  auto E = genEngine(G);
+  ASSERT_NE(E, nullptr);
+  std::string Dump = genDump(*E, {'x'});
+  EXPECT_NE(Dump.find("ok=120"), std::string::npos) << Dump;
+  EXPECT_EQ(Dump.find("v="), std::string::npos) << Dump;
 }
 
 //===----------------------------------------------------------------------===//
@@ -741,53 +662,45 @@ TEST(DifferentialTest, DepthLimitIsAHardFailureInInterpreter) {
 }
 
 TEST(DifferentialTest, DepthLimitIsAHardFailureInGenerated) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
   Grammar G = load(DeepGrammar);
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  std::string Exe;
-  ASSERT_TRUE(compileGenerated(*Code, "deep", Exe));
-  std::vector<uint8_t> Shallow(100, 'a');
-  EXPECT_EQ(runGenerated(Exe, "deep", Shallow).ExitCode, 0);
-  // Past ipg_rt::MaxDepth (8192) the parse must abort hard — no raw
-  // fallback. The guard caps the actual recursion at MaxDepth frames,
-  // so the input length does not grow the stack.
-  std::vector<uint8_t> Deep(9000, 'a');
-  EXPECT_EQ(runGenerated(Exe, "deep", Deep).ExitCode, 1)
+  EngineOptions Opts;
+  Opts.MaxDepth = 64; // baked into the module as its depth limit
+  auto E = genEngine(G, Opts);
+  ASSERT_NE(E, nullptr);
+  std::vector<uint8_t> Shallow(10, 'a');
+  EXPECT_TRUE(E->parse(ByteSpan::of(Shallow)));
+  // Past MaxDepth the parse must abort hard — no raw fallback.
+  std::vector<uint8_t> Deep(100, 'a');
+  EXPECT_FALSE(E->parse(ByteSpan::of(Deep)))
       << "the depth limit must abort the parse, not fall back to raw";
 }
 
 TEST(DifferentialTest, NodeEnvHasNoEoiEntryInGenerated) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
   std::vector<uint8_t> In = {'x'};
 
   Grammar G = load(ChildEoiGrammar);
-  auto Code = emitCppParser(G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  std::string Exe;
-  ASSERT_TRUE(compileGenerated(*Code, "child_eoi", Exe));
-  GenRun Collide = runGenerated(Exe, "child_eoi", In);
-  EXPECT_EQ(Collide.ExitCode, 0);
-  EXPECT_NE(Collide.Dump.find("n=5"), std::string::npos)
+  auto E = genEngine(G);
+  ASSERT_NE(E, nullptr);
+  std::string Collide = genDump(*E, In);
+  EXPECT_NE(Collide.find("n=5"), std::string::npos)
       << "A.EOI must read the grammar-defined attribute (5), not the "
          "window size (1):\n"
-      << Collide.Dump;
+      << Collide;
 
   // EOI inside a rule's own expressions still reads the window size.
   Grammar Own = load(R"(
     S -> A[0, 1] {n = EOI} ;
     A -> "x"[0, 1] ;
   )");
-  auto OCode = emitCppParser(Own, "gen");
-  ASSERT_TRUE(OCode) << OCode.message();
-  std::string OExe;
-  ASSERT_TRUE(compileGenerated(*OCode, "own_eoi", OExe));
-  GenRun R = runGenerated(OExe, "own_eoi", In);
-  EXPECT_EQ(R.ExitCode, 0);
-  EXPECT_NE(R.Dump.find("n=1"), std::string::npos) << R.Dump;
-  EXPECT_EQ(R.Dump.find("EOI="), std::string::npos)
+  auto OE = genEngine(Own);
+  ASSERT_NE(OE, nullptr);
+  std::string Dump = genDump(*OE, In);
+  EXPECT_NE(Dump.find("n=1"), std::string::npos) << Dump;
+  EXPECT_EQ(Dump.find("EOI="), std::string::npos)
       << "no env entry may be named EOI:\n"
-      << R.Dump;
+      << Dump;
 }

@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -279,7 +278,7 @@ TEST(GenRuntimeShiftedViews, DeepNestingComposesDeltas) {
   EXPECT_EQ(V, 111);
 }
 
-TEST(GenRuntimeShiftedViews, AliasedViewsAndSpansAndDumps) {
+TEST(GenRuntimeShiftedViews, AliasedViewsAndSpans) {
   Ctx C;
   C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
   C.beginParse(nullptr);
@@ -308,76 +307,15 @@ TEST(GenRuntimeShiftedViews, AliasedViewsAndSpansAndDumps) {
   EXPECT_EQ(BS, 16);
   EXPECT_EQ(BE, 0);
 
-  // The canonical dump (the differential-test contract) prints resolved
-  // coordinates.
-  std::string D = dumpTree(C.node(AtSeven));
-  EXPECT_NE(D.find("start=8"), std::string::npos) << D;
-  EXPECT_NE(D.find("end=10"), std::string::npos) << D;
-  EXPECT_NE(D.find("x=9"), std::string::npos) << D;
-}
-
-TEST(GenRuntimeShiftedViews, PrinterComposesShiftDeltasAcrossThreeLevels) {
-  Ctx C;
-  C.setNames(Names, sizeof(Names) / sizeof(Names[0]));
-  C.beginParse(nullptr);
-  static const unsigned char Ab[] = {'a', 'b'}, Cd[] = {'c', 'd'},
-                             Ef[] = {'e', 'f'};
-
-  // Innermost node: one leaf at local offset 0.
-  Frame &FG = C.frameAt(2);
-  FG.beginAlt(nullptr, 0, 2, nullptr, 0);
-  FG.setAttr(IdStart, 0);
-  FG.setAttr(IdEnd, 2);
-  FG.Kids.push_back(C.leaf(Ef, 2, 0, false));
-  unsigned GcBase = C.freeze(FG, IdA);
-
-  // Middle node: its own leaf, plus the innermost subtree re-anchored
-  // two bytes in (the T-NTSucc shape).
-  Frame &FM = C.frameAt(1);
-  FM.beginAlt(nullptr, 0, 4, nullptr, 0);
-  FM.setAttr(IdStart, 0);
-  FM.setAttr(IdEnd, 4);
-  FM.Kids.push_back(C.leaf(Cd, 2, 0, false));
-  FM.Kids.push_back(C.shifted(GcBase, 2));
-  unsigned MidBase = C.freeze(FM, IdA);
-
-  // Root: a leaf plus the middle subtree, itself re-anchored.
-  Frame &FR = C.frameAt(0);
-  FR.beginAlt(nullptr, 0, 6, nullptr, 0);
-  FR.setAttr(IdStart, 0);
-  FR.setAttr(IdEnd, 6);
-  FR.Kids.push_back(C.leaf(Ab, 2, 0, false));
-  FR.Kids.push_back(C.shifted(MidBase, 2));
-  unsigned Root = C.freeze(FR, IdA);
-
-  // Every stored leaf offset is 0; only the accumulated view deltas can
-  // place the bytes. The printer's origin walk must compose them across
-  // three node levels: innermost leaf at 0 (root) + 2 (mid) + 2 (gc).
-  PrintOptions O;
-  PrintOut R;
-  ASSERT_TRUE(printTree(C.node(Root), O, R)) << R.Error;
-  EXPECT_EQ(std::string(R.Bytes.begin(), R.Bytes.end()), "abcdef");
-  EXPECT_EQ(R.CoveredBytes, 6u);
-  EXPECT_EQ(R.GapBytes, 0u);
-  EXPECT_EQ(R.OverlapBytes, 0u);
-
-  // The same tree through a view-of-a-view root (chained deltas 1 + 2 on
-  // the middle node): the subtree shifts as one rigid unit to origin 3.
-  // Strict printing must then REFUSE — absolute bytes [0,3) are covered
-  // by no leaf — while background fill reconstructs around it.
-  unsigned MidTwice = C.shifted(C.shifted(MidBase, 1), 2);
-  PrintOut R2;
-  EXPECT_FALSE(printTree(C.node(MidTwice), O, R2));
-  EXPECT_NE(R2.Error.find("no leaf covers"), std::string::npos) << R2.Error;
-  PrintOptions Fill;
-  Fill.Strict = false;
-  static const unsigned char Bg[] = {'_', '_', '_', 'x', 'x', 'x', 'x'};
-  Fill.Background = Bg;
-  Fill.BackgroundLen = sizeof(Bg);
-  PrintOut R3;
-  ASSERT_TRUE(printTree(C.node(MidTwice), Fill, R3)) << R3.Error;
-  EXPECT_EQ(std::string(R3.Bytes.begin(), R3.Bytes.end()), "___cdef");
-  EXPECT_EQ(R3.GapBytes, 3u);
+  // Every slot of a view reads resolved: start/end shifted, the rest as
+  // stored (exportTree hands the host the raw slots plus the delta).
+  long long V = 0;
+  ASSERT_TRUE(C.node(AtSeven)->getById(IdStart, V));
+  EXPECT_EQ(V, 8);
+  ASSERT_TRUE(C.node(AtSeven)->getById(IdEnd, V));
+  EXPECT_EQ(V, 10);
+  ASSERT_TRUE(C.node(AtSeven)->getById(IdX, V));
+  EXPECT_EQ(V, 9);
 }
 
 //===----------------------------------------------------------------------===//

@@ -7,17 +7,16 @@
 ///
 /// \file
 /// The serializer's property harness: on every format corpus, at scales 1
-/// and 2, in BOTH execution modes,
+/// and 2, for the interpreter's AND the generated engine's trees,
 ///
 ///   print(parse(x)) == x                 (byte-exact reconstruction)
 ///   parse(print(parse(x))) == parse(x)   (the tree survives a round trip)
 ///
-/// Interpreter trees print through serialize/Printer.cpp; generated
-/// parsers print through the embedded ipg_rt::printTree (compiled into
-/// the child by CodegenTestHarness.h, like the differential drivers).
-/// Blackbox formats re-encode through the inverse hook — the deflated-zip
-/// corpus proves decoded entry data recompresses onto the original
-/// stream byte-for-byte.
+/// Every tree prints through serialize/Printer.cpp: a generated parser
+/// runs in-process as a GenEngine and hands back a host ParseTree, so
+/// one printer serves both engines. Blackbox formats re-encode through
+/// the registry's inverse — the deflated-zip corpus proves decoded entry
+/// data recompresses onto the original stream byte-for-byte.
 ///
 /// Print-exactness is a per-format fact this suite pins down: formats
 /// whose grammars leaf-cover their whole input must print strictly (zero
@@ -28,25 +27,23 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "codegen/CppEmitter.h"
+#include "codegen/GenEngine.h"
 
-#include "CodegenTestHarness.h"
+#include "GenModuleCache.h"
 #include "formats/FormatRegistry.h"
 #include "formats/MiniZlib.h"
 #include "formats/Zip.h"
+#include "runtime/Env.h"
 #include "runtime/Interp.h"
 #include "serialize/Printer.h"
 #include "support/Casting.h"
 
 #include <cstdint>
-#include <fstream>
 #include <gtest/gtest.h>
-#include <sstream>
 #include <string>
 #include <vector>
 
 using namespace ipg;
-using testutil::hostCompilerAvailable;
 
 namespace {
 
@@ -62,14 +59,13 @@ std::string render(const TreePtr &T, const Grammar &G) {
   return T ? treeToString(*T, G.interner()) : std::string();
 }
 
-/// One interpreter round trip: parse, print (strict or background-fill),
-/// compare bytes, re-parse, compare trees. Returns the print result for
-/// further inspection. Takes any Engine (callers build one through the
-/// makeFormatEngine factory); the printer itself is engine-independent.
-serialize::PrintResult roundtripInterp(Engine &I, const Grammar &G,
-                                       const BlackboxRegistry &BB,
-                                       const std::vector<uint8_t> &Bytes,
-                                       bool Strict) {
+/// One round trip: parse, print (strict or background-fill), compare
+/// bytes, re-parse, compare trees. Returns the print result for further
+/// inspection. Takes any Engine — the printer is engine-independent.
+serialize::PrintResult roundtrip(Engine &I, const Grammar &G,
+                                 const BlackboxRegistry &BB,
+                                 const std::vector<uint8_t> &Bytes,
+                                 bool Strict) {
   auto R = I.parse(ByteSpan::of(Bytes));
   EXPECT_TRUE(R) << R.message();
   if (!R)
@@ -113,7 +109,7 @@ TEST(RoundtripTest, InterpreterPrintsEveryFormatCorpusByteExact) {
       SCOPED_TRACE("scale: " + std::to_string(Scale));
       std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, Scale);
       ASSERT_FALSE(Bytes.empty());
-      serialize::PrintResult P = roundtripInterp(
+      serialize::PrintResult P = roundtrip(
           **FE, FE->Load->G, BB, Bytes, strictPrintExact(FI.Name));
       if (strictPrintExact(FI.Name)) {
         EXPECT_EQ(P.GapBytes, 0u);
@@ -198,7 +194,7 @@ TEST(RoundtripTest, DeflatedZipRoundTripsThroughBlackboxInverse) {
   std::vector<uint8_t> Bytes = formats::synthesizeZip(
       formats::zipArchiveOfCopies(4, 2048, /*Compress=*/true));
   serialize::PrintResult P =
-      roundtripInterp(**FE, FE->Load->G, BB, Bytes, /*Strict=*/true);
+      roundtrip(**FE, FE->Load->G, BB, Bytes, /*Strict=*/true);
   EXPECT_GT(P.BlackboxBytes, 0u)
       << "the corpus never exercised the inverse";
 }
@@ -246,127 +242,120 @@ TEST(RoundtripTest, CollectedSpansAreWellFormed) {
 }
 
 //===----------------------------------------------------------------------===//
-// Generated engine: the same properties through the embedded
-// ipg_rt::printTree, in a compiled child (CodegenTestHarness recipe).
-// The child parses argv[1], prints (argv[3] = strict|fill, background =
-// the input), RE-PARSES its own output and compares canonical dumps,
-// then writes the printed bytes to argv[2] for the parent's byte-exact
-// check. Exit codes: 0 ok, 1 parse reject, 4 print error, 5 printed
-// bytes rejected, 6 round-trip tree mismatch.
+// The printer's origin walk, on a hand-built tree: every stored leaf
+// offset is 0, so only the views' shift deltas can place the bytes, and
+// they must compose across three node levels.
 //===----------------------------------------------------------------------===//
 
-namespace {
+TEST(RoundtripTest, PrinterComposesShiftDeltasAcrossThreeLevels) {
+  auto Load = loadGrammar(R"(S -> "ab"[0, 2] ;)");
+  ASSERT_TRUE(Load) << Load.message();
+  const Grammar &G = Load->G;
+  const Symbol S = G.startSymbol(), Start = G.symStart(), End = G.symEnd();
+  static const uint8_t Ab[] = {'a', 'b'}, Cd[] = {'c', 'd'},
+                       Ef[] = {'e', 'f'};
+  auto span = [&](int64_t Lo, int64_t Hi) {
+    Env E;
+    E.set(Start, Lo);
+    E.set(End, Hi);
+    return E;
+  };
 
-bool compileRoundtripChild(const std::string &Generated,
-                           const std::string &Tag, std::string &ExeOut,
-                           const formats::GenBlackboxBridge *Bridge) {
-  std::string Source = Generated;
-  if (Bridge)
-    Source += Bridge->DriverSource;
-  Source +=
-      "\n#include <cstdio>\n#include <cstring>\n#include <fstream>\n"
-      "int main(int argc, char **argv) {\n"
-      "  if (argc < 4) return 3;\n"
-      "  std::ifstream In(argv[1], std::ios::binary);\n"
-      "  std::vector<uint8_t> Bytes((std::istreambuf_iterator<char>(In)),"
-      " std::istreambuf_iterator<char>());\n"
-      "  gen::Parser P;\n" +
-      std::string(Bridge ? "  ipgRegisterBlackboxes(P);\n" : "") +
-      "  gen::NodePtr Root = nullptr;\n"
-      "  if (!P.parse(Bytes.data(), Bytes.size(), Root)) return 1;\n"
-      "  std::string Before = gen::dumpTree(Root);\n"
-      "  ipg_rt::PrintOptions Opts;\n"
-      "  if (!std::strcmp(argv[3], \"fill\")) {\n"
-      "    Opts.Strict = false;\n"
-      "    Opts.Background = Bytes.data();\n"
-      "    Opts.BackgroundLen = Bytes.size();\n"
-      "  }\n"
-      "  ipg_rt::PrintOut R;\n"
-      "  if (!gen::printTree(Root, Opts, R)) {\n"
-      "    std::fprintf(stderr, \"print: %s\\n\", R.Error.c_str());\n"
-      "    return 4;\n"
-      "  }\n"
-      "  gen::NodePtr Again = nullptr;\n"
-      "  if (!P.parse(R.Bytes.data(), R.Bytes.size(), Again)) return 5;\n"
-      "  if (gen::dumpTree(Again) != Before) return 6;\n"
-      "  std::ofstream Out(argv[2], std::ios::binary);\n"
-      "  Out.write(reinterpret_cast<const char *>(R.Bytes.data()),\n"
-      "            static_cast<std::streamsize>(R.Bytes.size()));\n"
-      "  return Out ? 0 : 3;\n}\n";
-  ExeOut = testutil::compileParserSource(
-      Source, Tag,
-      Bridge ? testutil::bridgeCompileArgs(Bridge->ExtraSources) : "");
-  return !ExeOut.empty();
+  TreeStore Store;
+  // Innermost node: one leaf at local offset 0.
+  uint32_t GcLeaf = Store.makeLeaf(Ef, 2, 0, false);
+  uint32_t GcBase = Store.makeNode(S, 0, span(0, 2), &GcLeaf, 1);
+  // Middle node: its own leaf, plus the innermost subtree re-anchored
+  // two bytes in (the T-NTSucc shape).
+  uint32_t MidKids[2] = {Store.makeLeaf(Cd, 2, 0, false),
+                         Store.makeShifted(GcBase, 2, Start, End)};
+  uint32_t MidBase = Store.makeNode(S, 0, span(0, 4), MidKids, 2);
+  // Root: a leaf plus the middle subtree, itself re-anchored.
+  uint32_t RootKids[2] = {Store.makeLeaf(Ab, 2, 0, false),
+                          Store.makeShifted(MidBase, 2, Start, End)};
+  uint32_t Root = Store.makeNode(S, 0, span(0, 6), RootKids, 2);
+
+  // Innermost leaf at 0 (root) + 2 (mid) + 2 (gc).
+  auto P = serialize::printTree(*Store.node(Root), G);
+  ASSERT_TRUE(P) << P.message();
+  EXPECT_EQ(std::string(P->Bytes.begin(), P->Bytes.end()), "abcdef");
+  EXPECT_EQ(P->CoveredBytes, 6u);
+  EXPECT_EQ(P->GapBytes, 0u);
+  EXPECT_EQ(P->OverlapBytes, 0u);
+
+  // The middle subtree through a view-of-a-view root (chained deltas
+  // 1 + 2): it shifts as one rigid unit to origin 3. Strict printing
+  // must then REFUSE — absolute bytes [0,3) are covered by no leaf —
+  // while background fill reconstructs around it.
+  uint32_t MidTwice = Store.makeShifted(
+      Store.makeShifted(MidBase, 1, Start, End), 2, Start, End);
+  auto Strict = serialize::printTree(*Store.node(MidTwice), G);
+  ASSERT_FALSE(Strict);
+  EXPECT_NE(Strict.message().find("no leaf covers"), std::string::npos)
+      << Strict.message();
+  static const uint8_t Bg[] = {'_', '_', '_', 'x', 'x', 'x', 'x'};
+  serialize::PrintOptions Fill;
+  Fill.Gaps = serialize::GapPolicy::FillFromBackground;
+  Fill.Background = ByteSpan(Bg, sizeof(Bg));
+  auto Filled = serialize::printTree(*Store.node(MidTwice), G, nullptr, Fill);
+  ASSERT_TRUE(Filled) << Filled.message();
+  EXPECT_EQ(std::string(Filled->Bytes.begin(), Filled->Bytes.end()),
+            "___cdef");
+  EXPECT_EQ(Filled->GapBytes, 3u);
 }
 
-std::vector<uint8_t> runRoundtripChild(const std::string &Exe,
-                                       const std::string &Tag,
-                                       const std::vector<uint8_t> &Input,
-                                       bool Strict, int &ExitCode) {
-  std::string OutPath = testutil::childDir(Tag) + "/printed.bin";
-  std::remove(OutPath.c_str());
-  ExitCode = testutil::runChild(Exe, Tag, Input,
-                                OutPath + (Strict ? " strict" : " fill"));
-  std::ifstream In(OutPath, std::ios::binary);
-  return std::vector<uint8_t>((std::istreambuf_iterator<char>(In)),
-                              std::istreambuf_iterator<char>());
-}
-
-} // namespace
+//===----------------------------------------------------------------------===//
+// Generated engine: the same properties on its trees, through the same
+// printer. Gap counts must equal the interpreter's — the two engines
+// build the same tree, so they leave the same bytes uncovered.
+//===----------------------------------------------------------------------===//
 
 TEST(RoundtripTest, GeneratedParsersPrintEveryFormatCorpusByteExact) {
-  if (!hostCompilerAvailable())
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
+  BlackboxRegistry BB = formats::standardBlackboxes();
   size_t Roundtripped = 0;
   for (const formats::FormatInfo &FI : formats::allFormats()) {
     SCOPED_TRACE("format: " + FI.Name);
-    auto Load = formats::loadFormatGrammar(FI.Name);
-    ASSERT_TRUE(Load) << Load.message();
-    auto Code = emitCppParser(Load->G, "gen");
-    ASSERT_TRUE(Code) << Code.message();
-    const formats::GenBlackboxBridge *Bridge =
-        formats::genBlackboxBridge(FI.Name);
-    std::string Tag = "rt_" + FI.Name;
-    std::string Exe;
-    ASSERT_TRUE(compileRoundtripChild(*Code, Tag, Exe, Bridge));
-
+    auto FG = testutil::generatedEngine(FI.Name);
+    ASSERT_TRUE(FG) << FG.message();
+    auto FE = formats::makeFormatEngine(FI.Name, EngineKind::Interp);
+    ASSERT_TRUE(FE) << FE.message();
     bool Strict = strictPrintExact(FI.Name);
     for (unsigned Scale : {1u, 2u}) {
       SCOPED_TRACE("scale: " + std::to_string(Scale));
       std::vector<uint8_t> Bytes = formats::sampleInput(FI.Name, Scale);
-      int Exit = -1;
-      std::vector<uint8_t> Printed =
-          runRoundtripChild(Exe, Tag, Bytes, Strict, Exit);
-      ASSERT_EQ(Exit, 0) << "child failed (see exit-code legend above)";
-      EXPECT_EQ(Printed, Bytes) << "generated print(parse(x)) != x";
+      serialize::PrintResult Gen =
+          roundtrip(**FG, FG->Load->G, BB, Bytes, Strict);
+      serialize::PrintResult Int =
+          roundtrip(**FE, FE->Load->G, BB, Bytes, Strict);
+      EXPECT_EQ(Gen.GapBytes, Int.GapBytes);
+      EXPECT_EQ(Gen.CoveredBytes, Int.CoveredBytes);
+      if (!Strict) {
+        // The generated tree is no more print-exact than the
+        // interpreter's: Strict must refuse it too.
+        auto R = (*FG)->parse(ByteSpan::of(Bytes));
+        ASSERT_TRUE(R) << R.message();
+        EXPECT_FALSE(serialize::printTree(**R, FG->Load->G, &BB));
+      }
       ++Roundtripped;
     }
   }
   EXPECT_EQ(Roundtripped, 2 * formats::allFormats().size());
 }
 
-TEST(RoundtripTest, GeneratedDeflatedZipRoundTripsThroughInverseHook) {
-  if (!hostCompilerAvailable())
+TEST(RoundtripTest, GeneratedDeflatedZipRoundTripsThroughBlackboxInverse) {
+  if (!GenModule::hostCompilerAvailable())
     GTEST_SKIP() << "no host C++ compiler";
 
-  auto Load = formats::loadFormatGrammar("zip");
-  ASSERT_TRUE(Load) << Load.message();
-  auto Code = emitCppParser(Load->G, "gen");
-  ASSERT_TRUE(Code) << Code.message();
-  const formats::GenBlackboxBridge *Bridge =
-      formats::genBlackboxBridge("zip");
-  ASSERT_NE(Bridge, nullptr);
-  std::string Exe;
-  ASSERT_TRUE(compileRoundtripChild(*Code, "rt_zip_deflated", Exe, Bridge));
-
+  auto FG = testutil::generatedEngine("zip");
+  ASSERT_TRUE(FG) << FG.message();
+  BlackboxRegistry BB = formats::standardBlackboxes();
   std::vector<uint8_t> Bytes = formats::synthesizeZip(
       formats::zipArchiveOfCopies(4, 2048, /*Compress=*/true));
-  int Exit = -1;
-  std::vector<uint8_t> Printed =
-      runRoundtripChild(Exe, "rt_zip_deflated", Bytes, /*Strict=*/true,
-                        Exit);
-  ASSERT_EQ(Exit, 0);
-  EXPECT_EQ(Printed, Bytes)
-      << "generated inverse hook did not reproduce the deflate streams";
+  serialize::PrintResult P =
+      roundtrip(**FG, FG->Load->G, BB, Bytes, /*Strict=*/true);
+  EXPECT_GT(P.BlackboxBytes, 0u)
+      << "the corpus never exercised the inverse";
 }

@@ -23,7 +23,9 @@
 
 #include "codegen/GenEngine.h"
 #include "formats/FormatRegistry.h"
+#include "formats/Zip.h"
 #include "runtime/Engine.h"
+#include "serialize/Printer.h"
 #include "service/InputSource.h"
 #include "service/ParseService.h"
 
@@ -319,4 +321,57 @@ TEST(ParseServiceTest, GeneratedModeMatchesInterpMode) {
     EXPECT_EQ(renderCanonical(R.root(), FE->Load->G),
               referenceDump(Name, 2));
   }
+}
+
+// Generated-mode workers share ONE compiled module per format, so each
+// module-level blackbox bridge runs on several threads at once. Deflated
+// archives of different shapes (seeds, entry counts and sizes) make any
+// decoded bytes leaking between workers visible: as an abort, as a tree
+// unlike the interpreter's, or as a reprint that no longer re-encodes
+// onto the input. TSan also watches the bridge here (the CI TSan job
+// compiles modules instrumented).
+TEST(ParseServiceTest, GeneratedZipWorkersInflateIndependently) {
+  if (!GenModule::hostCompilerAvailable())
+    GTEST_SKIP() << "no host C++ compiler";
+
+  auto FE = formats::makeFormatEngine("zip", EngineKind::Interp);
+  ASSERT_TRUE(FE) << FE.message();
+  const Grammar &G = FE->Load->G;
+  std::vector<std::vector<uint8_t>> Docs;
+  std::vector<std::string> Want;
+  for (unsigned K = 0; K < 4; ++K) {
+    Docs.push_back(formats::synthesizeZip(formats::zipArchiveOfCopies(
+        1 + K, 512u << K, /*Compress=*/true, /*Seed=*/K + 1)));
+    auto T = (*FE)->parse(ByteSpan::of(Docs.back()));
+    ASSERT_TRUE(T) << T.message();
+    Want.push_back(renderCanonical(*T, G));
+    ASSERT_NE(Want.back().find("Node inflate"), std::string::npos);
+  }
+
+  ParseServiceOptions Opts;
+  Opts.Workers = 2;
+  Opts.Mode = EngineKind::Generated;
+  auto Svc = ParseService::create({"zip"}, Opts);
+  ASSERT_TRUE(Svc) << Svc.message();
+  std::vector<ParseRequest> Batch;
+  for (int Rep = 0; Rep < 75; ++Rep)
+    for (const std::vector<uint8_t> &D : Docs)
+      Batch.push_back(ParseRequest{"zip", InputSource::fromBytes(D)});
+  auto Futures = (*Svc)->submitBatch(std::move(Batch));
+
+  BlackboxRegistry BB = formats::standardBlackboxes();
+  size_t Wrong = 0;
+  for (size_t I = 0; I < Futures.size(); ++I) {
+    ParseResult R = Futures[I].get();
+    ASSERT_TRUE(R.ok()) << R.error();
+    size_t K = I % Docs.size();
+    if (renderCanonical(R.root(), G) != Want[K]) {
+      ++Wrong;
+      continue;
+    }
+    auto P = serialize::printTree(*R.root(), G, &BB);
+    if (!P || P->Bytes != Docs[K])
+      ++Wrong;
+  }
+  EXPECT_EQ(Wrong, 0u) << "of " << Futures.size() << " parses";
 }
