@@ -69,8 +69,7 @@ struct CppEmitterOptions {
   /// rule functions and the paper's plain recursive descent (trees are
   /// byte-identical either way); Engine.MaxDepth is baked in as the
   /// emitted parser's default depth limit (still runtime-adjustable via
-  /// Parser::setDepthLimit). Engine.DetectReentry is honored by the
-  /// in-process engines only and ignored here.
+  /// Parser::setDepthLimit and ipg_mod_set_depth_limit).
   EngineOptions Engine;
 };
 

@@ -10,11 +10,13 @@
 #include "runtime/Env.h"
 #include "support/GenRuntime.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <sstream>
 #include <system_error>
@@ -128,8 +130,6 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
   if (!hostCompilerAvailable())
     return Ret::failure("no host C++ compiler on PATH; the generated "
                         "engine cannot be built (use EngineKind::Interp)");
-  if (Config.RegisterBlackboxes && Config.BridgeSource.empty())
-    return Ret::failure("RegisterBlackboxes set without a BridgeSource");
 
   CppEmitterOptions EOpts;
   EOpts.Engine = Opts;
@@ -152,7 +152,7 @@ GenModule::compile(const Grammar &G, const EngineOptions &Opts,
   {
     std::ofstream Out(CppPath, std::ios::binary | std::ios::trunc);
     Out << *Src << Config.BridgeSource
-        << abiEpilogue(Config.RegisterBlackboxes);
+        << abiEpilogue(!Config.BridgeSource.empty());
     if (!Out)
       return Ret::failure("cannot write " + CppPath);
   }
@@ -216,9 +216,13 @@ GenModule::~GenModule() {
 // GenEngine: per-thread instance + single-pass tree export
 //===----------------------------------------------------------------------===//
 
-GenEngine::GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G)
+GenEngine::GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G,
+                     const EngineOptions &Opts)
     : Module(std::move(Module)), G(G) {
   Parser = this->Module->Create();
+  this->Module->SetDepthLimit(
+      Parser, static_cast<long long>(std::min<size_t>(
+                  Opts.MaxDepth, std::numeric_limits<long long>::max())));
   Pool = new TreeStore::Recycler();
   // Resolve the module's name table against the grammar's interner once.
   // Every emitted name originates from this grammar, so a miss means the

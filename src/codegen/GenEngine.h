@@ -78,17 +78,16 @@ struct ExportObjC; // support/GenRuntime.h
 namespace ipg {
 
 /// Build-time configuration for GenModule::compile beyond the engine
-/// knobs (which arrive as EngineOptions and are baked into the emitted
-/// parser).
+/// knobs (which arrive as EngineOptions: UseMemo is baked into the
+/// emitted parser, MaxDepth only as its default — each GenEngine applies
+/// its own).
 struct GenModuleConfig {
   /// C++ source appended after the generated parser and before the ABI
   /// epilogue — a formats::GenBlackboxBridge::DriverSource defining
   ///   template <class ParserT> void ipgRegisterBlackboxes(ParserT &P);
-  /// Empty for grammars without blackboxes.
+  /// which the epilogue then calls on every Parser it creates. Empty for
+  /// grammars without blackboxes.
   std::string BridgeSource;
-  /// When true the epilogue calls ipgRegisterBlackboxes(P) on every
-  /// Parser it creates. Must match BridgeSource being non-empty.
-  bool RegisterBlackboxes = false;
   /// Extra arguments appended verbatim to the compile command line
   /// (include dirs and decoder translation units for the bridge, e.g.
   /// "-I<src> <src>/formats/MiniZlib.cpp"). It is shell text: pass every
@@ -158,7 +157,11 @@ private:
 /// interpreter.
 class GenEngine : public Engine {
 public:
-  GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G);
+  /// \p Opts.MaxDepth becomes this instance's depth limit, whatever
+  /// limit the module was compiled with, so engines sharing one module
+  /// may differ in it. UseMemo and Recovery are the module's.
+  GenEngine(std::shared_ptr<GenModule> Module, const Grammar &G,
+            const EngineOptions &Opts);
   ~GenEngine() override;
 
   Expected<TreePtr> parse(ByteSpan Input) override;

@@ -184,7 +184,6 @@ GenModuleConfig ipg::formats::genModuleConfig(const std::string &Name) {
   // The module compiles the same decoder TUs the interpreter links, and
   // its epilogue registers them through the bridge hook.
   Config.BridgeSource = Br->DriverSource;
-  Config.RegisterBlackboxes = true;
   Config.Std = "c++20"; // the bridge includes library headers
   Config.ExtraCompileArgs = "-I" + shellQuote(IPG_SOURCE_DIR);
   std::istringstream Toks(Br->ExtraSources);

@@ -90,14 +90,14 @@ ipg::makeEngine(EngineKind Kind, const Grammar &G,
       return Ret::failure("generated parsers do not support "
                           "RecoveryPolicy::Salvage; use the interpreter or "
                           "bytecode VM");
-    // The module compiles the options in (memoization policy, default
-    // depth limit); blackboxes bind through GenConfig's bridge source,
-    // not the host registry — reject a silent mismatch.
+    // The module compiles the memoization policy in and the engine
+    // applies the depth limit; blackboxes bind through GenConfig's bridge
+    // source, not the host registry.
     auto M = GenModule::compile(G, Opts,
                                 GenConfig ? *GenConfig : GenModuleConfig());
     if (!M)
       return Ret::failure(M.message());
-    return Ret(std::make_unique<GenEngine>(std::move(*M), G));
+    return Ret(std::make_unique<GenEngine>(std::move(*M), G, Opts));
   }
   }
   return Ret::failure("unknown engine kind");

@@ -73,12 +73,10 @@ struct EngineOptions {
   /// (Section 3.3). The in-process engines honor it per parse; the code
   /// generator bakes it into the emitted rule functions.
   bool UseMemo = true;
-  /// Treat re-entry of an in-progress (rule, slice) as failure instead of
-  /// recursing; off by default for fidelity to the formal semantics.
-  /// In-process engines only: generated parsers rely on the depth limit.
-  bool DetectReentry = false;
-  /// Hard limit on rule recursion depth. Tripping it aborts the whole
-  /// parse (no backtracking into sibling alternatives) in BOTH engines.
+  /// Hard limit on rule recursion depth, the one runtime guard against
+  /// divergence (analysis/Termination rejects non-terminating grammars
+  /// statically). Tripping it aborts the whole parse (no backtracking
+  /// into sibling alternatives) in every engine.
   size_t MaxDepth = 8192;
   /// Error-recovery policy; see the enum. Strict preserves today's
   /// byte-for-byte behavior (and counters) exactly.

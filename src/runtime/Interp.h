@@ -47,11 +47,10 @@
 /// one-per-thread contract the engine itself has).
 ///
 /// Nontermination handling: the formal semantics simply diverges on
-/// grammars that fail termination checking; a practical engine cannot. Two
-/// guards exist: MaxDepth aborts the whole parse with a hard error, and
-/// (optionally) DetectReentry treats re-entering the same (rule, slice)
-/// while it is still being parsed as failure, packrat-style. Both are off
-/// the semantics' happy path and covered by dedicated tests.
+/// grammars that fail termination checking; a practical engine cannot.
+/// analysis/Termination rejects such grammars before they run, and
+/// MaxDepth caps whatever is left: tripping it aborts the whole parse with
+/// a hard error in every engine (covered by dedicated tests).
 ///
 //===----------------------------------------------------------------------===//
 

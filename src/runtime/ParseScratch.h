@@ -9,9 +9,9 @@
 /// The recycled scratch state of the in-process parse skeleton
 /// (runtime/ParseSkeleton.h), which both the interpreter and the bytecode
 /// VM run over the same lowered module (lower/LIR.h): per-depth frame
-/// pool, memo + reentry tables, flattened window stack, machine
-/// activation records, the VM evaluator's operand and binding stacks, and
-/// the store-recycling plumbing. Everything here survives across parse()
+/// pool, memo table, flattened window stack, machine activation records,
+/// the VM evaluator's operand and binding stacks, and the store-recycling
+/// plumbing. Everything here survives across parse()
 /// calls so the steady state allocates nothing: vectors and the flat
 /// hashes keep their capacity through clear(), the TreeStore keeps its
 /// arena blocks through reset(), and frames are pooled per recursion
@@ -122,7 +122,6 @@ struct ParseScratch {
   /// ipg_rt::memoPack'd outcomes — the same encoding the generated Ctx
   /// uses, through the same helpers; ids are stable within a parse.
   ipg_rt::FlatIntervalMap<uint32_t> Memo;
-  ipg_rt::FlatIntervalMap<uint8_t> InProgress;
   std::vector<std::unique_ptr<Frame>> FramePool; // indexed by depth
   std::vector<std::vector<uint32_t>> ElemScratch; // per array-nesting level
   size_t ArrayNest = 0;
@@ -137,11 +136,10 @@ struct ParseScratch {
   /// "not registered" hard error at call time.
   std::vector<const BlackboxFn *> BbFns;
 
-  /// Flattened-tier state: the descend/replay window stack, banked
-  /// prefix-child records, and (under DetectReentry) the in-progress keys
-  /// of pending levels. Nested flattened activations share these vectors
-  /// through saved bases; capacity persists across parses, so the steady
-  /// state allocates nothing.
+  /// Flattened-tier state: the descend/replay window stack and banked
+  /// prefix-child records. Nested flattened activations share these
+  /// vectors through saved bases; capacity persists across parses, so the
+  /// steady state allocates nothing.
   struct FlatKid {
     uint32_t Node = 0;   ///< adjusted (shifted) child node id
     int64_t Start = 0;   ///< recorded child start as the parent saw it
@@ -150,7 +148,6 @@ struct ParseScratch {
   };
   std::vector<ByteSpan> FlatLevels;
   std::vector<FlatKid> FlatKids;
-  std::vector<ipg_rt::IntervalKey> FlatKeys;
 
   /// Step-tier activation record: one per live rule invocation on the
   /// explicit work-stack machine (the machine only ever starts at the
@@ -165,7 +162,6 @@ struct ParseScratch {
     enum : uint8_t { WaitNone, WaitNT, WaitArr };
     uint8_t Wait = WaitNone;
     bool Memoize = false;
-    bool Inserted = false;  ///< holds an InProgress reentry key
     bool NeedBegin = true;  ///< beginAlt pending for (AltIdx, StepIdx=0)
     uint32_t PendTI = 0;    ///< term index of the suspended child
     int64_t PendLo = 0;
@@ -263,13 +259,11 @@ struct ParseScratch {
       Cur = new TreeStore(Pool);
     }
     Memo.clear();
-    InProgress.clear();
     ArrayNest = 0;
     // The tier scratch is left empty by every exit path; clearing here is
     // belt-and-braces so a parse can never see a predecessor's state.
     FlatLevels.clear();
     FlatKids.clear();
-    FlatKeys.clear();
     Acts.clear();
     VStack.clear();
     VTop = 0;

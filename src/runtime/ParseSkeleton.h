@@ -612,18 +612,16 @@ private:
         "' (likely a non-terminating grammar; see termination checking)");
   }
 
-  /// A rule activation's memo/reentry bookkeeping, from enterRule to
-  /// leaveRule.
+  /// A rule activation's memo bookkeeping, from enterRule to leaveRule.
   struct Activation {
     ipg_rt::IntervalKey Key;
     bool Memoize = false;
-    bool Inserted = false; ///< holds an InProgress reentry key
   };
 
   /// Rule entry shared by the Direct tier and the machine: depth limit,
-  /// deadline, peak depth, memo probe, reentry insert. False when the
-  /// activation resolved without running — \p Node then holds a memoized
-  /// node, or InvalidNode for a failure (Hard tells a hard one apart).
+  /// deadline, peak depth, memo probe. False when the activation resolved
+  /// without running — \p Node then holds a memoized node, or InvalidNode
+  /// for a failure (Hard tells a hard one apart).
   /// True leaves the activation live (counted in Depth) until leaveRule.
   ///
   /// Local rules are never memoized (their meaning depends on the
@@ -647,11 +645,9 @@ private:
     ++Depth;
     Stats.PeakDepth = std::max(Stats.PeakDepth, Depth);
     A.Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    bool TrackReentry = Opts.DetectReentry && !R.IsLocal;
-    if (A.Memoize || TrackReentry)
+    if (A.Memoize) {
       A.Key = ipg_rt::IntervalKey::pack(Id, In.absBase(),
                                         In.absBase() + In.size());
-    if (A.Memoize) {
       if (const uint32_t *Hit = St.Memo.find(A.Key)) {
         ++Stats.MemoHits;
         --Depth;
@@ -662,22 +658,13 @@ private:
       }
       ++Stats.MemoMisses;
     }
-    if (TrackReentry) {
-      if (!St.InProgress.insert(A.Key, 1)) {
-        --Depth;
-        return false; // packrat-style: in-progress re-entry fails
-      }
-      A.Inserted = true;
-    }
     return true;
   }
 
-  /// Closes a live activation with \p Result (InvalidNode on failure) in
-  /// recursion's exit order: erase reentry, then memoize.
+  /// Closes a live activation with \p Result (InvalidNode on failure):
+  /// memoizes it unless the parse is aborting.
   [[gnu::always_inline]]
   void leaveRule(const Activation &A, uint32_t Result) {
-    if (A.Inserted)
-      St.InProgress.erase(A.Key);
     if (A.Memoize && !Hard)
       St.Memo.insert(A.Key, ipg_rt::memoPack(
                                 Result == InvalidNode ? 0u : Result,
@@ -772,8 +759,8 @@ private:
   /// descends into the self interval. On the way UP the self alternative
   /// replays per level — rebuilding the environment, materializing the
   /// terminal leaves, rebinding the banked children — completes the self
-  /// child, and runs the suffix. Alternative order, memo traffic, depth
-  /// accounting, and reentry tracking match the recursive form exactly.
+  /// child, and runs the suffix. Alternative order, memo traffic and depth
+  /// accounting match the recursive form exactly.
   uint32_t parseFlattened(RuleId Id, ByteSpan Input) {
     const lir::RuleL &R = L.Rules[Id];
     const FlattenInfo &FI = R.Flatten;
@@ -781,14 +768,12 @@ private:
     const lir::TermL &SelfT = SAlt.Exec[FI.SelfExecPos];
     const size_t PN = FI.PrefixNTTerms.size();
     const bool Memoize = Opts.UseMemo && R.Memoizable && !Salvage;
-    const bool TrackReentry = Opts.DetectReentry; // never a local rule
     // Each level contributes to BacktrackLive while inside its self
     // alternative iff post-self alternatives exist to fall back to.
     const bool HasPost = FI.SelfAlt + 1 < R.Alts.size();
     const size_t EntryDepth = Depth;
     const size_t LvBase = St.FlatLevels.size();
     const size_t KidBase = St.FlatKids.size();
-    const size_t KeyBase = St.FlatKeys.size();
     Frame &F = St.frameAt(EntryDepth + 1);
     ByteSpan Cur = Input;
     uint32_t Sub = InvalidNode;
@@ -797,11 +782,6 @@ private:
     auto levelKey = [&] {
       return ipg_rt::IntervalKey::pack(Id, Cur.absBase(),
                                        Cur.absBase() + Cur.size());
-    };
-    // The innermost pending level leaves the in-progress set.
-    auto popLevelKey = [&] {
-      St.InProgress.erase(St.FlatKeys.back());
-      St.FlatKeys.pop_back();
     };
 
   flat_descend:
@@ -827,12 +807,6 @@ private:
         goto flat_level_failed;
       }
       ++Stats.MemoMisses;
-    }
-    if (TrackReentry) {
-      ipg_rt::IntervalKey K = levelKey();
-      if (!St.InProgress.insert(K, 1))
-        goto flat_level_failed; // packrat-style: in-progress re-entry fails
-      St.FlatKeys.push_back(K);
     }
 
     // Alternatives BEFORE the self alternative run for real at every
@@ -903,11 +877,9 @@ private:
       goto flat_descend;
     }
 
-    // The current level resolved to node Sub at the descend: close its
-    // bookkeeping (recursion: erase reentry, then memoize) and unwind.
+    // The current level resolved to node Sub at the descend: memoize it
+    // and unwind.
   flat_level_ok:
-    if (TrackReentry)
-      popLevelKey();
     if (Memoize)
       St.Memo.insert(levelKey(), ipg_rt::memoPack(Sub, true));
     goto flat_resolved;
@@ -930,8 +902,6 @@ private:
         goto flat_level_ok;
       }
     }
-    if (TrackReentry)
-      popLevelKey();
     if (Memoize)
       St.Memo.insert(levelKey(), ipg_rt::memoPack(0u, false));
     goto flat_level_failed;
@@ -996,8 +966,6 @@ private:
       if (!Ok)
         goto flat_post_alts;
       Sub = makeNode(R, Id, F);
-      if (TrackReentry)
-        popLevelKey();
       if (Memoize)
         St.Memo.insert(levelKey(), ipg_rt::memoPack(Sub, true));
     }
@@ -1005,11 +973,9 @@ private:
     Depth = EntryDepth;
     return Sub;
 
-    // A hard failure aborts the whole activation: recursion unwinds every
-    // pending level erasing its reentry key and storing nothing.
+    // A hard failure aborts the whole activation: every pending level
+    // unwinds storing nothing.
   flat_hard:
-    while (St.FlatKeys.size() > KeyBase)
-      popLevelKey();
     St.FlatLevels.resize(LvBase);
     St.FlatKids.resize(KidBase);
     Depth = EntryDepth;
@@ -1047,7 +1013,6 @@ private:
     A.Lex = Lex;
     A.Key = Entry.Key;
     A.Memoize = Entry.Memoize;
-    A.Inserted = Entry.Inserted;
     BacktrackLive += L.Rules[Id].Alts.size() > 1; // alt 0 has later alts
     St.Acts.push_back(A);
     return ActPushed;
@@ -1058,7 +1023,7 @@ private:
   /// slot for the act below.
   void finishAct(uint32_t Result) {
     MachineAct &A = St.Acts.back();
-    leaveRule(Activation{A.Key, A.Memoize, A.Inserted}, Result);
+    leaveRule(Activation{A.Key, A.Memoize}, Result);
     BacktrackLive -= A.AltIdx + 1 < L.Rules[A.Id].Alts.size();
     St.Acts.pop_back();
     ChildOk = Result != InvalidNode && !Hard;
@@ -1318,14 +1283,9 @@ private:
     while (!St.Acts.empty() && !Hard)
       advance();
     if (Hard) {
-      // Unwind exactly as recursion would: each pending activation
-      // erases its reentry key; nothing is memoized.
-      while (!St.Acts.empty()) {
-        if (St.Acts.back().Inserted)
-          St.InProgress.erase(St.Acts.back().Key);
-        St.Acts.pop_back();
-        --Depth;
-      }
+      // Every pending activation unwinds storing nothing.
+      Depth -= St.Acts.size();
+      St.Acts.clear();
       return InvalidNode;
     }
     return ChildOk ? ChildNode : InvalidNode;

@@ -174,7 +174,8 @@ void ParseService::Impl::process(
     std::unique_ptr<Engine> &Eng = Engines[FI];
     if (!Eng) {
       if (Opts.Mode == EngineKind::Generated)
-        Eng = std::make_unique<GenEngine>(FC.Module, FC.Load->G);
+        Eng = std::make_unique<GenEngine>(FC.Module, FC.Load->G,
+                                          Opts.Engine);
       else if (Opts.Mode == EngineKind::Vm)
         Eng = std::make_unique<BytecodeVM>(FC.Load->G, FC.Blackboxes.get(),
                                            Opts.Engine);

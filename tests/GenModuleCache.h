@@ -29,9 +29,10 @@
 
 namespace ipg::testutil {
 
-/// A generated engine over the named format. Only the options the
-/// emitter bakes into the module (UseMemo, MaxDepth) select the module;
-/// the engine is fresh on every call, the module shared.
+/// A generated engine over the named format. Only the option the emitter
+/// bakes into the module (UseMemo) selects the module; the engine is
+/// fresh on every call and applies Opts.MaxDepth itself, the module is
+/// shared.
 inline Expected<formats::FormatEngine>
 generatedEngine(const std::string &Name, const EngineOptions &Opts = {}) {
   using Ret = Expected<formats::FormatEngine>;
@@ -40,8 +41,7 @@ generatedEngine(const std::string &Name, const EngineOptions &Opts = {}) {
     std::shared_ptr<GenModule> Module;
   };
   static std::map<std::string, Compiled> Cache;
-  std::string Key = Name + (Opts.UseMemo ? "/memo/" : "/plain/") +
-                    std::to_string(Opts.MaxDepth);
+  std::string Key = Name + (Opts.UseMemo ? "/memo" : "/plain");
   auto It = Cache.find(Key);
   if (It == Cache.end()) {
     auto Load = formats::loadFormatGrammar(Name);
@@ -56,7 +56,7 @@ generatedEngine(const std::string &Name, const EngineOptions &Opts = {}) {
   }
   formats::FormatEngine FE;
   FE.Load = It->second.Load;
-  FE.E = std::make_unique<GenEngine>(It->second.Module, FE.Load->G);
+  FE.E = std::make_unique<GenEngine>(It->second.Module, FE.Load->G, Opts);
   return Ret(std::move(FE));
 }
 

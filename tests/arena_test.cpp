@@ -1,4 +1,4 @@
-//===- tests/arena_test.cpp - arena, tree store, flat hash ----------------===//
+//===- tests/arena_test.cpp - arena and tree store ------------------------===//
 //
 // Part of the IPG reproduction of "Interval Parsing Grammars for File Format
 // Parsing" (PLDI 2023). MIT license.
@@ -8,9 +8,8 @@
 /// \file
 /// Lifetime and reuse rules of the runtime's memory layer: Arena pointer
 /// stability across block growth and reset/reuse semantics, TreeStore node
-/// stability and recycling through Interp, zero-copy leaf aliasing, and
-/// the FlatIntervalMap's collision and tombstone behavior under adversarial
-/// interval patterns.
+/// stability and recycling through Interp, and zero-copy leaf aliasing.
+/// The FlatIntervalMap memo table is covered in tests/genruntime_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +17,6 @@
 #include "runtime/Interp.h"
 #include "support/Arena.h"
 #include "support/Casting.h"
-#include "support/GenRuntime.h"
 
 #include <cstddef>
 #include <cstdint>
@@ -26,13 +24,10 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 using namespace ipg;
-using ipg_rt::FlatIntervalMap;
-using ipg_rt::IntervalKey;
 
 //===----------------------------------------------------------------------===//
 // Arena
@@ -376,149 +371,4 @@ TEST(ZeroCopy, TerminalLeavesAliasTheInputBuffer) {
   EXPECT_EQ(reinterpret_cast<const uint8_t *>(Raw->bytes().data()),
             In.data() + 5);
   EXPECT_EQ(Raw->length(), 2u);
-}
-
-//===----------------------------------------------------------------------===//
-// FlatIntervalMap
-//===----------------------------------------------------------------------===//
-
-TEST(FlatHashTest, PackIsInjectiveOnEdgePatterns) {
-  // Keys differing in exactly one component — including across the 16-bit
-  // boundary the lo field is split at — must stay distinct.
-  const uint64_t Big = (1ull << 48) - 1;
-  std::vector<IntervalKey> Keys = {
-      IntervalKey::pack(0, 0, 0),        IntervalKey::pack(1, 0, 0),
-      IntervalKey::pack(0, 1, 0),        IntervalKey::pack(0, 0, 1),
-      IntervalKey::pack(0, 1ull << 16, 0), IntervalKey::pack(0, Big, Big),
-      IntervalKey::pack(~0u - 1, Big, 0), IntervalKey::pack(0, 0, Big),
-      IntervalKey::pack(0, 0x1FFFF, 0),  IntervalKey::pack(0, 0xFFFF, 0),
-  };
-  for (size_t I = 0; I < Keys.size(); ++I)
-    for (size_t J = I + 1; J < Keys.size(); ++J)
-      EXPECT_FALSE(Keys[I] == Keys[J]) << I << " vs " << J;
-}
-
-TEST(FlatHashTest, InsertFindEraseBasics) {
-  FlatIntervalMap<int> M;
-  EXPECT_EQ(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
-  EXPECT_TRUE(M.insert(IntervalKey::pack(1, 2, 3), 7));
-  EXPECT_FALSE(M.insert(IntervalKey::pack(1, 2, 3), 8)); // no overwrite
-  ASSERT_NE(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
-  EXPECT_EQ(*M.find(IntervalKey::pack(1, 2, 3)), 7);
-  EXPECT_TRUE(M.erase(IntervalKey::pack(1, 2, 3)));
-  EXPECT_FALSE(M.erase(IntervalKey::pack(1, 2, 3)));
-  EXPECT_EQ(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
-  EXPECT_EQ(M.size(), 0u);
-}
-
-TEST(FlatHashTest, AdversarialIntervalPatternsCollideCorrectly) {
-  // The memo table's real access pattern: one rule over thousands of
-  // overlapping slices — (r, i, j) for all i <= j — which forces heavy
-  // probe-sequence sharing in a small table. Mirror against a reference
-  // map.
-  FlatIntervalMap<int> M;
-  std::unordered_map<uint64_t, int> Ref;
-  int V = 0;
-  const uint64_t N = 60;
-  for (uint64_t Lo = 0; Lo < N; ++Lo)
-    for (uint64_t Hi = Lo; Hi < N; ++Hi) {
-      EXPECT_TRUE(M.insert(IntervalKey::pack(3, Lo, Hi), V));
-      Ref[Lo * N + Hi] = V;
-      ++V;
-    }
-  EXPECT_EQ(M.size(), Ref.size());
-  for (uint64_t Lo = 0; Lo < N; ++Lo)
-    for (uint64_t Hi = Lo; Hi < N; ++Hi) {
-      int *P = M.find(IntervalKey::pack(3, Lo, Hi));
-      ASSERT_NE(P, nullptr);
-      EXPECT_EQ(*P, Ref[Lo * N + Hi]);
-    }
-  // Keys never inserted (Hi < Lo) must miss even though their probe paths
-  // run through fully loaded clusters.
-  for (uint64_t Lo = 1; Lo < N; ++Lo)
-    EXPECT_EQ(M.find(IntervalKey::pack(3, Lo, Lo - 1)), nullptr);
-}
-
-TEST(FlatHashTest, TombstonesKeepProbeChainsIntact) {
-  // The in-progress set's pattern (DetectReentry): interleaved insert and
-  // erase of nested intervals. An erase in the middle of a probe chain
-  // must not hide keys inserted behind it.
-  FlatIntervalMap<uint8_t> M;
-  const uint64_t N = 500;
-  for (uint64_t I = 0; I < N; ++I)
-    EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, N), 1));
-  // Erase every other key -> tombstones sprinkled through every cluster.
-  for (uint64_t I = 0; I < N; I += 2)
-    EXPECT_TRUE(M.erase(IntervalKey::pack(1, I, N)));
-  // Survivors still found; erased keys miss.
-  for (uint64_t I = 0; I < N; ++I) {
-    if (I % 2)
-      EXPECT_NE(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
-    else
-      EXPECT_EQ(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
-  }
-  // Reinsert the erased keys: tombstones are reclaimed, not leaked into
-  // load forever — size returns to N and everything is reachable.
-  for (uint64_t I = 0; I < N; I += 2)
-    EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, N), 2));
-  EXPECT_EQ(M.size(), N);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_NE(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
-}
-
-TEST(FlatHashTest, EraseInsertChurnDoesNotGrowUnbounded) {
-  // Repeated insert/erase of the same keyset (the reentry set under a
-  // recursive grammar) must stay within one rehash of the initial
-  // capacity rather than treating every tombstone as permanent load.
-  FlatIntervalMap<uint8_t> M;
-  for (uint64_t I = 0; I < 32; ++I)
-    M.insert(IntervalKey::pack(2, I, 100), 1);
-  size_t Cap = M.capacity();
-  for (int Round = 0; Round < 1000; ++Round) {
-    for (uint64_t I = 0; I < 32; ++I)
-      M.erase(IntervalKey::pack(2, I, 100));
-    for (uint64_t I = 0; I < 32; ++I)
-      M.insert(IntervalKey::pack(2, I, 100), 1);
-  }
-  EXPECT_EQ(M.size(), 32u);
-  EXPECT_LE(M.capacity(), Cap * 2);
-}
-
-TEST(FlatHashTest, ClearIsGenerationalAcrossManyEpochs) {
-  // clear() bumps an epoch instead of sweeping; stale slots must read as
-  // empty in every later generation, including ones with interleaved
-  // erases, and per-epoch contents must never bleed through.
-  FlatIntervalMap<int> M;
-  for (int Epoch = 0; Epoch < 50; ++Epoch) {
-    for (uint64_t I = 0; I < 100; ++I)
-      EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, I + 1), Epoch)) << Epoch;
-    for (uint64_t I = 0; I < 100; I += 3)
-      EXPECT_TRUE(M.erase(IntervalKey::pack(1, I, I + 1)));
-    for (uint64_t I = 0; I < 100; ++I) {
-      int *P = M.find(IntervalKey::pack(1, I, I + 1));
-      if (I % 3 == 0) {
-        EXPECT_EQ(P, nullptr) << Epoch << "/" << I;
-      } else {
-        ASSERT_NE(P, nullptr) << Epoch << "/" << I;
-        EXPECT_EQ(*P, Epoch);
-      }
-    }
-    M.clear();
-    EXPECT_EQ(M.size(), 0u);
-    EXPECT_EQ(M.find(IntervalKey::pack(1, 1, 2)), nullptr) << Epoch;
-  }
-}
-
-TEST(FlatHashTest, ClearKeepsCapacity) {
-  FlatIntervalMap<int> M;
-  for (uint64_t I = 0; I < 1000; ++I)
-    M.insert(IntervalKey::pack(1, I, I + 1), static_cast<int>(I));
-  size_t Cap = M.capacity();
-  M.clear();
-  EXPECT_EQ(M.size(), 0u);
-  EXPECT_EQ(M.capacity(), Cap);
-  EXPECT_EQ(M.find(IntervalKey::pack(1, 5, 6)), nullptr);
-  // Reusable after clear.
-  EXPECT_TRUE(M.insert(IntervalKey::pack(1, 5, 6), 42));
-  EXPECT_EQ(*M.find(IntervalKey::pack(1, 5, 6)), 42);
 }

@@ -51,7 +51,7 @@ std::unique_ptr<Engine> compileEngine(const Grammar &G,
   EXPECT_TRUE(M) << M.message();
   if (!M)
     return nullptr;
-  return std::make_unique<GenEngine>(std::move(*M), G);
+  return std::make_unique<GenEngine>(std::move(*M), G, EngineOptions());
 }
 
 std::vector<uint8_t> bytesOf(const std::string &S) {
@@ -126,7 +126,6 @@ TEST(CodegenTest, BlackboxGrammarsCompileAndUseTheRegistrationHook) {
   // the rule name, an attribute): if any of them binds, it leaves `bb`
   // unbound and the parse below fails.
   GenModuleConfig Config;
-  Config.RegisterBlackboxes = true;
   Config.BridgeSource =
       "static bool testBb(void *, const unsigned char *, size_t Len,\n"
       "                   ipg_rt::BlackboxOut &Out) {\n"

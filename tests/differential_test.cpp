@@ -666,7 +666,7 @@ TEST(DifferentialTest, DepthLimitIsAHardFailureInGenerated) {
     GTEST_SKIP() << "no host C++ compiler";
   Grammar G = load(DeepGrammar);
   EngineOptions Opts;
-  Opts.MaxDepth = 64; // baked into the module as its depth limit
+  Opts.MaxDepth = 64; // the engine applies it to its module instance
   auto E = genEngine(G, Opts);
   ASSERT_NE(E, nullptr);
   std::vector<uint8_t> Shallow(10, 'a');

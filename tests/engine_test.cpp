@@ -224,6 +224,39 @@ TEST(EngineOptionsParity, BothEnginesHonorTheSameDepthLimit) {
   }
 }
 
+// MaxDepth is a per-engine runtime knob, not a property of the compiled
+// module: two generated engines over ONE module, one at MaxDepth 64 and
+// one at the default, each reach the interpreter's verdict at that limit.
+TEST(EngineOptionsParity, EnginesSharingOneModuleApplyTheirOwnDepthLimit) {
+  if (!haveGen())
+    GTEST_SKIP() << "no host C++ compiler";
+  Grammar G = load(DeepGrammar);
+  auto M = GenModule::compile(G);
+  ASSERT_TRUE(M) << M.message();
+  EngineOptions Tight;
+  Tight.MaxDepth = 64;
+  const EngineOptions Default;
+  GenEngine GenTight(*M, G, Tight);
+  GenEngine GenDefault(*M, G, Default);
+  std::vector<uint8_t> Deep(100, 'a');
+
+  auto InterpTight = makeEngine(EngineKind::Interp, G, nullptr, Tight);
+  auto InterpDefault = makeEngine(EngineKind::Interp, G, nullptr, Default);
+  ASSERT_TRUE(InterpTight && InterpDefault);
+  EXPECT_FALSE((*InterpTight)->parse(ByteSpan::of(Deep)));
+  EXPECT_TRUE((*InterpDefault)->parse(ByteSpan::of(Deep)));
+
+  // Interleaved, so neither instance can inherit the other's limit.
+  EXPECT_FALSE(GenTight.parse(ByteSpan::of(Deep)));
+  EXPECT_TRUE(GenDefault.parse(ByteSpan::of(Deep)));
+  EXPECT_FALSE(GenTight.parse(ByteSpan::of(Deep)));
+  EXPECT_EQ(GenTight.stats().ParseVerdict,
+            (*InterpTight)->stats().ParseVerdict);
+  EXPECT_EQ(GenTight.stats().FailRule, (*InterpTight)->stats().FailRule);
+  EXPECT_EQ(GenDefault.stats().ParseVerdict,
+            (*InterpDefault)->stats().ParseVerdict);
+}
+
 TEST(EngineOptionsParity, UseMemoOffPreservesTreesOnBothEngines) {
   EngineOptions On;
   EngineOptions Off;
@@ -331,7 +364,7 @@ TEST(GeneratedTreeExport, WorkDirUnderATmpdirWithASpace) {
     WorkDir = fs::path((*M)->path()).parent_path();
     EXPECT_EQ(WorkDir.parent_path(), Spaced);
     EXPECT_TRUE(fs::is_directory(WorkDir));
-    GenEngine E(*M, G);
+    GenEngine E(*M, G, EngineOptions());
     std::vector<uint8_t> In = {'a', 'b'};
     auto T = E.parse(ByteSpan::of(In));
     ASSERT_TRUE(T) << T.message();

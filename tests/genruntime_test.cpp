@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Unit coverage for the pieces of the shared runtime (support/GenRuntime.h)
-/// that generated parsers embed: the (rule, interval) memo table under the
-/// adversarial collision/tombstone/generational-clear patterns mirrored
-/// from tests/arena_test.cpp (which exercises the same code through the
-/// ipg aliases), lazy shifted-node views including deep nesting (a view
-/// whose base is itself a view) and aliasing (many views over one base),
+/// that generated parsers embed: the (rule, interval) memo table (key
+/// packing, insert-without-overwrite, adversarial collisions and the
+/// generational clear; the in-process engines hold the same class), lazy
+/// shifted-node views including deep nesting (a view whose base is itself
+/// a view) and aliasing (many views over one base),
 /// the O(1) SlotIndex behind environments, the blackbox hook's node
 /// construction, and the cross-module tree export (exportTree). Runs
 /// under the ASan+UBSan CI job like every suite.
@@ -81,12 +81,45 @@ TEST(GenRuntimeScalar, GuardAdmitsOnlyInWindowBytesOfTheSet) {
 }
 
 //===----------------------------------------------------------------------===//
-// FlatIntervalMap (the embedded twin of the interpreter's memo table)
+// FlatIntervalMap (the memo table of every engine)
 //===----------------------------------------------------------------------===//
 
+TEST(GenRuntimeFlatHash, PackIsInjectiveOnEdgePatterns) {
+  // Keys differing in exactly one component — including across the 16-bit
+  // boundary the lo field is split at, and the full 32-bit rule range —
+  // must stay distinct.
+  const uint64_t Big = (1ull << 48) - 1;
+  std::vector<IntervalKey> Keys = {
+      IntervalKey::pack(0, 0, 0),          IntervalKey::pack(1, 0, 0),
+      IntervalKey::pack(0, 1, 0),          IntervalKey::pack(0, 0, 1),
+      IntervalKey::pack(0, 1ull << 16, 0), IntervalKey::pack(0, Big, Big),
+      IntervalKey::pack(~0u, Big, 0),      IntervalKey::pack(~0u, Big, Big),
+      IntervalKey::pack(0, 0, Big),        IntervalKey::pack(0, 0x1FFFF, 0),
+      IntervalKey::pack(0, 0xFFFF, 0),
+  };
+  for (size_t I = 0; I < Keys.size(); ++I)
+    for (size_t J = I + 1; J < Keys.size(); ++J)
+      EXPECT_FALSE(Keys[I] == Keys[J]) << I << " vs " << J;
+}
+
+TEST(GenRuntimeFlatHash, InsertDoesNotOverwrite) {
+  FlatIntervalMap<int> M;
+  EXPECT_EQ(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
+  EXPECT_TRUE(M.insert(IntervalKey::pack(1, 2, 3), 7));
+  EXPECT_FALSE(M.insert(IntervalKey::pack(1, 2, 3), 8));
+  ASSERT_NE(M.find(IntervalKey::pack(1, 2, 3)), nullptr);
+  EXPECT_EQ(*M.find(IntervalKey::pack(1, 2, 3)), 7);
+  EXPECT_EQ(M.size(), 1u);
+  // Rule id ~0u is an ordinary key: no slot state is encoded in keys.
+  EXPECT_TRUE(M.insert(IntervalKey::pack(~0u, 0, 0), 9));
+  EXPECT_EQ(*M.find(IntervalKey::pack(~0u, 0, 0)), 9);
+}
+
 TEST(GenRuntimeFlatHash, AdversarialIntervalPatternsCollideCorrectly) {
-  // One rule over thousands of overlapping slices — heavy probe-sequence
-  // sharing in a small table — mirrored against a reference map.
+  // The memo table's real access pattern: one rule over thousands of
+  // overlapping slices — (r, i, j) for all i <= j — which forces heavy
+  // probe-sequence sharing in a small table. Mirror against a reference
+  // map.
   FlatIntervalMap<int> M;
   std::unordered_map<uint64_t, int> Ref;
   int V = 0;
@@ -104,46 +137,31 @@ TEST(GenRuntimeFlatHash, AdversarialIntervalPatternsCollideCorrectly) {
       ASSERT_NE(P, nullptr);
       EXPECT_EQ(*P, Ref[Lo * N + Hi]);
     }
+  // Keys never inserted (Hi < Lo) must miss even though their probe paths
+  // run through fully loaded clusters.
   for (uint64_t Lo = 1; Lo < N; ++Lo)
     EXPECT_EQ(M.find(IntervalKey::pack(3, Lo, Lo - 1)), nullptr);
 }
 
-TEST(GenRuntimeFlatHash, TombstonesKeepProbeChainsIntact) {
-  FlatIntervalMap<uint8_t> M;
-  const uint64_t N = 500;
-  for (uint64_t I = 0; I < N; ++I)
-    EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, N), 1));
-  for (uint64_t I = 0; I < N; I += 2)
-    EXPECT_TRUE(M.erase(IntervalKey::pack(1, I, N)));
-  for (uint64_t I = 0; I < N; ++I) {
-    if (I % 2)
-      EXPECT_NE(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
-    else
-      EXPECT_EQ(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
-  }
-  // Reinsertion reclaims tombstones instead of leaking them into load.
-  for (uint64_t I = 0; I < N; I += 2)
-    EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, N), 2));
-  EXPECT_EQ(M.size(), N);
-  for (uint64_t I = 0; I < N; ++I)
-    ASSERT_NE(M.find(IntervalKey::pack(1, I, N)), nullptr) << I;
-}
-
 TEST(GenRuntimeFlatHash, GenerationalClearKeepsCapacityAndIsolation) {
+  // clear() bumps an epoch instead of sweeping. Each epoch inserts a
+  // different two thirds of one keyset, so a key the previous epoch held
+  // must read as absent now, and no value may bleed through.
   FlatIntervalMap<int> M;
   size_t CapAfterFirst = 0;
   for (int Epoch = 0; Epoch < 50; ++Epoch) {
-    for (uint64_t I = 0; I < 100; ++I)
-      EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, I + 1), Epoch));
-    for (uint64_t I = 0; I < 100; I += 3)
-      EXPECT_TRUE(M.erase(IntervalKey::pack(1, I, I + 1)));
-    for (uint64_t I = 0; I < 100; ++I) {
+    for (uint64_t I = 0; I < 1000; ++I) {
+      if ((I + Epoch) % 3 != 0) {
+        EXPECT_TRUE(M.insert(IntervalKey::pack(1, I, I + 1), Epoch));
+      }
+    }
+    for (uint64_t I = 0; I < 1000; ++I) {
       int *P = M.find(IntervalKey::pack(1, I, I + 1));
-      if (I % 3 == 0) {
+      if ((I + Epoch) % 3 == 0) {
         EXPECT_EQ(P, nullptr) << Epoch << "/" << I;
       } else {
         ASSERT_NE(P, nullptr) << Epoch << "/" << I;
-        EXPECT_EQ(*P, Epoch); // no bleed-through from older epochs
+        EXPECT_EQ(*P, Epoch);
       }
     }
     M.clear();

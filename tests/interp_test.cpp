@@ -689,28 +689,21 @@ TEST(SemanticsNontermination, DepthGuardReportsHardError) {
   EXPECT_NE(R.message().find("depth"), std::string::npos);
 }
 
-TEST(SemanticsNontermination, ReentryDetectionFailsCleanly) {
-  Grammar G = load(R"(S -> ""[0, 0] S[0, EOI] ;)");
-  EngineOptions Opts;
-  Opts.DetectReentry = true;
-  Interp I(G, nullptr, Opts);
-  auto R = parseStr(I, "abc");
-  ASSERT_FALSE(R);
-  EXPECT_NE(R.message().find("rejected"), std::string::npos);
-}
-
-TEST(SemanticsNontermination, SeekStyleLoopCaughtByGuards) {
+TEST(SemanticsNontermination, SeekStyleLoopCaughtByDepthGuard) {
   // Figure 11b: S -> num[0,1] S[num.val, EOI]; input byte 0 jumps back to
-  // offset 0 forever.
+  // offset 0 forever, until MaxDepth aborts the parse.
   Grammar G = load(R"(
     S -> num[0, 1] S[num.val, EOI] / "$"[0, 1] ;
     num -> {val = u8(0)} ;
   )");
   EngineOptions Opts;
-  Opts.DetectReentry = true;
+  Opts.MaxDepth = 64;
   Interp I(G, nullptr, Opts);
   std::vector<uint8_t> Loop = {0, 0, 0};
-  EXPECT_FALSE(I.parse(ByteSpan::of(Loop)));
+  auto L = I.parse(ByteSpan::of(Loop));
+  ASSERT_FALSE(L);
+  EXPECT_NE(L.message().find("depth"), std::string::npos);
+  EXPECT_EQ(I.stats().PeakDepth, Opts.MaxDepth);
   // A chain that advances terminates and accepts.
   std::vector<uint8_t> Chain = {1, '$'};
   auto R = I.parse(ByteSpan::of(Chain));

@@ -145,6 +145,34 @@ TEST(LirTest, AllFormatModulesVerify) {
   }
 }
 
+// The execution tier of every bundled format's rules (analysis/RecShape.h)
+// as docs/architecture.md states it: pdf, dns, zip and gif each have two
+// Flattened rules, pe, elf and ipv4udp are all Direct, and no format needs
+// the Step machine.
+TEST(LirTest, BundledFormatsNonDirectRulesArePinned) {
+  const std::map<std::string, std::set<std::string>> Flattened = {
+      {"zip", {"LFs", "CDs"}},     {"elf", {}},
+      {"pdf", {"XNum", "Scan"}},   {"gif", {"Blocks", "SubBlocks"}},
+      {"pe", {}},                  {"dns", {"Name", "RRs"}},
+      {"ipv4udp", {}},
+  };
+  ASSERT_EQ(formats::allFormats().size(), Flattened.size());
+  for (const formats::FormatInfo &FI : formats::allFormats()) {
+    SCOPED_TRACE("format: " + FI.Name);
+    auto Load = formats::loadFormatGrammar(FI.Name);
+    ASSERT_TRUE(Load) << Load.message();
+    lir::Module M = lir::lower(Load->G);
+    std::set<std::string> Got;
+    for (const lir::RuleL &R : M.Rules) {
+      EXPECT_NE(R.Shape, ExecShape::Step) << M.nameOf(R.Name);
+      if (R.Shape == ExecShape::Flattened)
+        Got.insert(std::string(M.nameOf(R.Name)));
+    }
+    ASSERT_EQ(Flattened.count(FI.Name), 1u);
+    EXPECT_EQ(Got, Flattened.at(FI.Name));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Operand resolution on a checked grammar: every lowered term carries
 // resolved rule targets, completed intervals, interned literals, and
